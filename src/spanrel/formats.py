@@ -9,8 +9,11 @@ indent, trailing newline) so identical data is byte-identical on disk.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from importlib import resources
+from itertools import chain
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -34,6 +37,8 @@ class FormatError(ValueError):
 
 
 _schemas: dict[str, dict] = {}
+# Per schema: its validator and the path tree to its leaf arrays.
+_checkers: dict[str, tuple[object, dict | None]] = {}
 
 
 def load_schema(name: str) -> dict:
@@ -49,14 +54,192 @@ def load_schema(name: str) -> dict:
     return _schemas[name]
 
 
+_PLAIN_TYPE = jsonschema.Draft202012Validator.VALIDATORS["type"]
+
+
+def _strict_type(validator, types, instance, schema):
+    """The "type" keyword plus two rules of the formats: every number is
+    finite as a 64-bit float, and an integer has no decimal point."""
+    kind = type(instance)
+    types = [types] if isinstance(types, str) else types
+    if kind is float or (kind is int and "number" in types):
+        try:
+            finite = math.isfinite(instance)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
+            return
+    if kind is float and "integer" in types and "number" not in types:
+        yield jsonschema.ValidationError(f"{instance!r} is not of type 'integer'")
+        return
+    yield from _PLAIN_TYPE(validator, types, instance, schema)
+
+
+_StrictValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, {"type": _strict_type}
+)
+
+
+class _LeafArray(NamedTuple):
+    """A schema node for nested arrays of one scalar type, checked in bulk."""
+
+    levels: tuple[tuple[int, int | None], ...]  # (minItems, maxItems), outermost first
+    types: frozenset  # exact Python types allowed for an element
+    minimum: float | None
+    schema: dict
+
+
+_EACH = None  # path-tree step: every element of an array
+_ANNOTATIONS = {"$schema", "$id", "$defs", "title", "description", "default"}
+_OBJECT_KEYS = _ANNOTATIONS | {"type", "properties", "required", "additionalProperties"}
+_ARRAY_KEYS = _ANNOTATIONS | {"type", "items", "prefixItems", "minItems", "maxItems"}
+_SCALAR_KEYS = {
+    "number": ({int, float}, {"type", "minimum"}),
+    "integer": ({int}, {"type", "minimum"}),
+    "string": ({str}, {"type"}),
+}
+
+
+def _resolve(root: dict, node: object) -> dict | None:
+    """Follow local "$ref"s; None for anything but a plain subschema."""
+    while isinstance(node, dict) and "$ref" in node:
+        ref = node["$ref"]
+        if set(node) - _ANNOTATIONS != {"$ref"} or not ref.startswith("#/"):
+            return None
+        node = root
+        for part in ref[2:].split("/"):
+            node = node[part]
+    return node if isinstance(node, dict) else None
+
+
+def _leaf_array(root: dict, node: dict) -> _LeafArray | None:
+    """The bulk-check spec of node if it is nested arrays of one scalar type."""
+    top, levels = node, []
+    while node.get("type") == "array" and set(node) <= _ARRAY_KEYS:
+        low, high = node.get("minItems", 0), node.get("maxItems")
+        prefix = node.get("prefixItems")
+        if prefix:
+            # A fixed-width tuple of identical items, such as a [start, end] span.
+            same = all(_resolve(root, p) == _resolve(root, prefix[0]) for p in prefix)
+            if "items" in node or not same or low != len(prefix) or high != low:
+                return None
+            item = prefix[0]
+        elif "items" in node:
+            item = node["items"]
+        else:
+            return None
+        levels.append((low, high))
+        node = _resolve(root, item)
+        if node is None:
+            return None
+    kind = node.get("type")
+    # An outer minItems would reject the [] left in the skeleton.
+    if not levels or levels[0][0] or kind not in _SCALAR_KEYS:
+        return None
+    types, keys = _SCALAR_KEYS[kind]
+    if not set(node) <= _ANNOTATIONS | keys:
+        return None
+    return _LeafArray(tuple(levels), frozenset(types), node.get("minimum"), top)
+
+
+def _strip_tree(root: dict, node: object) -> dict | _LeafArray | None:
+    """Path tree from node to the leaf arrays beneath it, None if none.
+
+    Descends only through plain object properties and array items, so an
+    array replaced by [] changes what no other keyword sees."""
+    node = _resolve(root, node)
+    if node is None:
+        return None
+    leaf = _leaf_array(root, node)
+    if leaf is not None:
+        return leaf
+    types = node.get("type")
+    steps = {}
+    if "object" in (types if isinstance(types, list) else [types]):
+        if set(node) <= _OBJECT_KEYS:
+            steps = node.get("properties", {})
+    elif types == "array" and set(node) <= _ARRAY_KEYS - {"prefixItems"}:
+        if "items" in node:
+            steps = {_EACH: node["items"]}
+    tree = {step: _strip_tree(root, sub) for step, sub in steps.items()}
+    tree = {step: sub for step, sub in tree.items() if sub is not None}
+    return tree or None
+
+
+def _checker(schema_name: str) -> tuple[object, dict | None]:
+    if schema_name not in _checkers:
+        schema = load_schema(schema_name)
+        _checkers[schema_name] = (_StrictValidator(schema), _strip_tree(schema, schema))
+    return _checkers[schema_name]
+
+
+def _strip(node: object, tree, path: tuple, found: list) -> object:
+    """Copy of node with every leaf array under tree replaced by [];
+    the arrays go to found with their paths."""
+    if isinstance(tree, _LeafArray):
+        if type(node) is not list:
+            return node
+        found.append((path, node, tree))
+        return []
+    if type(node) is list and _EACH in tree:
+        sub = tree[_EACH]
+        return [_strip(x, sub, (*path, i), found) for i, x in enumerate(node)]
+    if type(node) is dict:
+        node = dict(node)
+        for key, sub in tree.items():
+            if key in node:
+                node[key] = _strip(node[key], sub, (*path, key), found)
+    return node
+
+
+def _leaf_ok(value: list, spec: _LeafArray) -> bool:
+    """Bulk check of a leaf array; True only if jsonschema plus the strict
+    type rules would find nothing wrong with it."""
+    items = [value]
+    for low, high in spec.levels:
+        if not set(map(type, items)) <= {list}:
+            return False
+        if low and min(map(len, items), default=low) < low:
+            return False
+        if high is not None and max(map(len, items), default=0) > high:
+            return False
+        items = list(chain.from_iterable(items))
+    if not items:
+        return True
+    if not set(map(type, items)) <= spec.types:
+        return False
+    if float in spec.types:
+        try:
+            if not np.isfinite(np.array(items, dtype=np.float64)).all():
+                return False
+        except OverflowError:
+            return False
+    return spec.minimum is None or min(items) >= spec.minimum
+
+
 def validate_document(doc: object, schema_name: str) -> None:
-    """Schema-check a parsed document; FormatError names the bad path."""
-    validator = jsonschema.Draft202012Validator(load_schema(schema_name))
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    """Schema-check a parsed document; FormatError names the bad path.
+
+    jsonschema walks a skeleton of the document whose leaf arrays (logits,
+    spans, weight matrices, token lists) are emptied; each of those is
+    checked in bulk instead, and only an array that fails is walked
+    element by element to find the location.  Beyond the schema, every
+    number must be finite and an integer may not be written as 1.0."""
+    validator, tree = _checker(schema_name)
+    found: list = []
+    skeleton = _strip(doc, tree, (), found) if tree else doc
+    errors = [(list(e.absolute_path), e.message) for e in validator.iter_errors(skeleton)]
+    for path, value, spec in found:
+        if not _leaf_ok(value, spec):
+            errors += [
+                ([*path, *e.absolute_path], e.message)
+                for e in validator.evolve(schema=spec.schema).iter_errors(value)
+            ]
     if errors:
-        err = errors[0]
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise FormatError(f"invalid {schema_name} document at {where}: {err.message}")
+        where, message = min(errors, key=lambda e: e[0])
+        where = "/".join(str(p) for p in where) or "<root>"
+        raise FormatError(f"invalid {schema_name} document at {where}: {message}")
 
 
 def read_json(path: str) -> object:
@@ -68,12 +251,16 @@ def read_json(path: str) -> object:
 
 
 def dump_canonical(doc: object) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path: str, doc: object) -> None:
+    try:
+        text = dump_canonical(doc)
+    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+        raise FormatError(f"{path} not written: {exc}") from exc
     with open(path, "w") as fh:
-        fh.write(dump_canonical(doc))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +316,18 @@ def instances_from_score_doc(doc: dict) -> list[ScoredInstance]:
     inventory = TypeInventory(
         tuple(doc["entity_types"]), tuple(doc["relation_types"])
     )
-    bias = bias_from_json(doc["bias"]) if doc.get("bias") is not None else None
+    bias = None
+    if doc.get("bias") is not None:
+        try:
+            bias = bias_from_json(doc["bias"])
+        except ValueError as exc:
+            raise FormatError(f"score bias: {exc}") from exc
+        e, r = inventory.num_entity_types, inventory.num_relation_types
+        if bias.joint.shape != (e, e, r):
+            raise FormatError(
+                f"score bias: joint table has shape {bias.joint.shape}, "
+                f"the inventory needs ({e}, {e}, {r})"
+            )
     out = []
     for pos, entry in enumerate(doc["sentences"]):
         try:

@@ -196,6 +196,70 @@ def test_budget_exit_3(tmp_path):
     assert "error:" in proc.stderr
 
 
+def _nan_logit(doc):
+    doc["sentences"][0]["entity_logits"][0][1] = float("nan")
+
+
+def _float_span(doc):
+    doc["sentences"][0]["spans"][0] = [float(i) for i in doc["sentences"][0]["spans"][0]]
+
+
+def _short_bias(doc):
+    # consistent tables for one relation type fewer than the inventory has
+    bias = doc["bias"]
+    bias["joint"] = [[row[:-1] for row in plane] for plane in bias["joint"]]
+    bias["head_relation"] = [row[:-1] for row in bias["head_relation"]]
+    bias["tail_relation"] = [row[:-1] for row in bias["tail_relation"]]
+
+
+CORRUPT_SCORES = {
+    "nan-logit": (_nan_logit, "sentences/0/entity_logits/0/1: nan is not a finite number"),
+    "float-span": (_float_span, "sentences/0/spans/0/0: 0.0 is not of type 'integer'"),
+    "short-bias": (_short_bias, "joint table has shape (4, 4, 5)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_SCORES))
+def test_corrupt_score_file_exits_2_under_every_algorithm(tmp_path, case):
+    corrupt, message = CORRUPT_SCORES[case]
+    doc = json.loads(Path(GOLDEN_SCORE).read_text())
+    corrupt(doc)
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps(doc))
+    for algo in ("unconstrained", "entity-first", "joint", "relation-first"):
+        out = tmp_path / f"{algo}.json"
+        proc = run_cli("decode", str(scores), "-o", str(out), "--algorithm", algo)
+        assert proc.returncode == 2, (algo, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+        assert not out.exists() or "NaN" not in out.read_text()
+
+
+def test_overflowing_objective_is_not_written(tmp_path):
+    # a finite but huge bias entry sums to an infinite joint objective
+    doc = json.loads(Path(GOLDEN_SCORE).read_text())
+    doc["bias"]["joint"][1][1][0] = 1e308
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps(doc))
+    out = tmp_path / "joint.json"
+    proc = run_cli("decode", str(scores), "-o", str(out), "--algorithm", "joint")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "not written" in proc.stderr
+    assert not out.exists()
+
+
+def test_non_finite_params_exit_2(tmp_path):
+    doc = json.loads(Path(PARAMS).read_text())
+    doc["entity_head"]["w1"][2][3] = float("inf")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    proc = run_cli("score", SENTENCES, str(params), "-o", str(tmp_path / "o.json"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "entity_head/w1/2/3: inf is not a finite number" in proc.stderr
+
+
 def test_env_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"algorithm": "entity-first"}))

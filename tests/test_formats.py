@@ -59,6 +59,15 @@ def test_dump_canonical_is_stable():
     assert a.index('"a"') < a.index('"b"')
 
 
+def test_write_json_refuses_non_finite(tmp_path):
+    p = tmp_path / "x.json"
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(FormatError) as err:
+            write_json(str(p), {"objective": value})
+        assert "not written" in str(err.value)
+        assert not p.exists()
+
+
 def test_read_json_errors(tmp_path):
     p = tmp_path / "x.json"
     p.write_text("{broken")
