@@ -145,11 +145,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
     def one(inst):
         return decode(inst, algorithm, constraints, use_bias, config.budget)
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            structures = list(pool.map(one, instances))
-    else:
-        structures = [one(inst) for inst in instances]
+    try:
+        if config.jobs > 1:
+            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+                structures = list(pool.map(one, instances))
+        else:
+            structures = [one(inst) for inst in instances]
+    except ValueError as exc:  # an objective past the float64 range
+        raise FormatError(f"{args.output} not written: {exc}") from exc
     doc = structure_document(
         instances, structures, algorithm, use_bias, args.constraints
     )

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -308,26 +309,6 @@ def structure_score(
 
 # ---------------------------------------------------------------------------
 # unconstrained
-
-
-def unconstrained_entities(instance: ScoredInstance) -> list[tuple[int, int]]:
-    """(span index, type) for spans whose argmax beats null; overlaps allowed."""
-    out = []
-    for i in range(len(instance.spans)):
-        e = int(np.argmax(instance.entity_logits[i]))
-        if e != NULL:
-            out.append((i, e))
-    return out
-
-
-def unconstrained_relations(instance: ScoredInstance) -> list[tuple[int, int, int]]:
-    """(head span, tail span, type) per-row argmax; no consistency with entities."""
-    out = []
-    for p, (h, t) in enumerate(instance.pairs):
-        r = int(np.argmax(instance.relation_logits[p]))
-        if r != NULL:
-            out.append((h, t, r))
-    return out
 
 
 def unconstrained_decode(instance: ScoredInstance) -> DecodedStructure:
@@ -1187,18 +1168,30 @@ def decode(
     use_bias: bool = True,
     budget: int | None = None,
 ) -> DecodedStructure:
-    """Run one decoding algorithm; constraints default to permit-all."""
+    """Run one decoding algorithm; constraints default to permit-all.
+
+    Raises ValueError, naming the algorithm, when the structure's objective
+    is not finite: finite logits and bias entries can still sum past the
+    float64 range.
+    """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
     if constraints is None:
         constraints = unconstrained_constraints(instance.inventory)
     if algorithm == "unconstrained":
-        return unconstrained_decode(instance)
-    if algorithm == "entity_first":
-        return entity_first_decode(instance, constraints, use_bias)
-    if algorithm == "joint":
-        return joint_decode(instance, constraints, use_bias, budget)
-    return relation_first_decode(instance, constraints, use_bias, budget)
+        structure = unconstrained_decode(instance)
+    elif algorithm == "entity_first":
+        structure = entity_first_decode(instance, constraints, use_bias)
+    elif algorithm == "joint":
+        structure = joint_decode(instance, constraints, use_bias, budget)
+    else:
+        structure = relation_first_decode(instance, constraints, use_bias, budget)
+    if not math.isfinite(structure.score):
+        raise ValueError(
+            f"{algorithm} objective is {structure.score!r}: the logits and bias "
+            "entries sum past the float64 range"
+        )
+    return structure
 
 
 __all__ = [
@@ -1227,6 +1220,4 @@ __all__ = [
     "structure_score",
     "unconstrained_constraints",
     "unconstrained_decode",
-    "unconstrained_entities",
-    "unconstrained_relations",
 ]

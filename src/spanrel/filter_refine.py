@@ -1,6 +1,10 @@
 """Filter-and-refine: prune candidates to the top K by a learned ranking
 score, then enrich the survivors.
 
+Candidates come as an (N, D) matrix or as a PairGrid, whose N = K*K rows
+are ranked through the factored first layer of the ranking feed-forward;
+only the kept rows are ever built.
+
 The refine step runs two attention blocks in order: a cross-attention pass
 over the token embeddings (the survivors read from the sentence) and a
 self-attention pass among the survivors followed by a feed-forward update.
@@ -18,8 +22,10 @@ from .numerics import (
     AttentionWeights,
     FeedForwardParams,
     feed_forward,
+    linear,
     multi_head_attention,
 )
+from .representation import PairGrid
 
 
 @dataclass(frozen=True)
@@ -41,37 +47,47 @@ class FilterResult:
 
 
 def ranking_scores(
-    z: np.ndarray, filter_params: FeedForwardParams, valid: np.ndarray | None = None
+    z: np.ndarray | PairGrid,
+    filter_params: FeedForwardParams,
+    valid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scalar ranking score per candidate; invalid candidates get the sentinel."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise ValueError("need at least one candidate representation")
-    scores = feed_forward(z, filter_params)[:, 0]
+    if isinstance(z, PairGrid):
+        hidden = z.affine(filter_params.w1, filter_params.b1)
+        np.maximum(hidden, 0.0, out=hidden)  # ReLU in place on the K*K-row buffer
+        scores = linear(hidden, filter_params.w2, filter_params.b2)[:, 0]
+    else:
+        z = np.asarray(z, dtype=np.float64)
+        if z.ndim != 2 or z.shape[0] < 1:
+            raise ValueError("need at least one candidate representation")
+        scores = feed_forward(z, filter_params)[:, 0]
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
-        if valid.shape != (z.shape[0],):
+        if valid.shape != scores.shape:
             raise ValueError("valid mask length does not match candidates")
         scores = np.where(valid, scores, NEG_SENTINEL)
     return scores
 
 
-def top_k_select(z: np.ndarray, scores: np.ndarray, k: int) -> FilterResult:
+def top_k_select(z: np.ndarray | PairGrid, scores: np.ndarray, k: int) -> FilterResult:
     """Keep the k highest-scoring valid candidates (score above the sentinel).
 
     Ties break toward the lower index; k larger than the valid count clamps.
     Kept rows are returned in ascending original-index order.
     """
-    z = np.asarray(z, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be positive")
     order = np.argsort(-scores, kind="stable")
     valid_count = int((scores > NEG_SENTINEL).sum())
     kept = np.sort(order[: min(k, valid_count)])
+    if isinstance(z, PairGrid):
+        rows = z.rows(kept)
+    else:
+        rows = np.asarray(z, dtype=np.float64)[kept]
     return FilterResult(
-        kept_indices=tuple(int(i) for i in kept),
-        representations=z[kept].copy(),
+        kept_indices=tuple(kept.tolist()),
+        representations=rows,
         ranking_scores=scores,
     )
 
@@ -104,7 +120,7 @@ def process(
 
 
 def filter_and_refine(
-    z: np.ndarray,
+    z: np.ndarray | PairGrid,
     tokens: np.ndarray,
     k: int,
     filter_params: FeedForwardParams,

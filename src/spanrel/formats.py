@@ -81,12 +81,28 @@ _StrictValidator = jsonschema.validators.extend(
 )
 
 
+class _Scalar(NamedTuple):
+    """A scalar schema: the exact Python types allowed, and its bounds."""
+
+    types: frozenset
+    minimum: float | None
+    min_length: int  # strings only
+
+
+class _Record(NamedTuple):
+    """A flat object schema: required keys and a scalar schema per property.
+    Other keys are allowed, as the schema allows them."""
+
+    required: tuple[str, ...]
+    fields: dict[str, _Scalar]
+
+
 class _LeafArray(NamedTuple):
-    """A schema node for nested arrays of one scalar type, checked in bulk."""
+    """A schema node for nested arrays of scalars or flat records, checked
+    in bulk."""
 
     levels: tuple[tuple[int, int | None], ...]  # (minItems, maxItems), outermost first
-    types: frozenset  # exact Python types allowed for an element
-    minimum: float | None
+    item: _Scalar | _Record
     schema: dict
 
 
@@ -97,7 +113,7 @@ _ARRAY_KEYS = _ANNOTATIONS | {"type", "items", "prefixItems", "minItems", "maxIt
 _SCALAR_KEYS = {
     "number": ({int, float}, {"type", "minimum"}),
     "integer": ({int}, {"type", "minimum"}),
-    "string": ({str}, {"type"}),
+    "string": ({str}, {"type", "minLength"}),
 }
 
 
@@ -113,8 +129,28 @@ def _resolve(root: dict, node: object) -> dict | None:
     return node if isinstance(node, dict) else None
 
 
+def _scalar(node: dict | None) -> _Scalar | None:
+    kind = node.get("type") if node is not None else None
+    if not isinstance(kind, str) or kind not in _SCALAR_KEYS:
+        return None
+    types, keys = _SCALAR_KEYS[kind]
+    if not set(node) <= _ANNOTATIONS | keys:
+        return None
+    return _Scalar(frozenset(types), node.get("minimum"), node.get("minLength", 0))
+
+
+def _record(root: dict, node: dict) -> _Record | None:
+    if node.get("type") != "object" or not set(node) <= _OBJECT_KEYS - {"additionalProperties"}:
+        return None
+    fields = {key: _scalar(_resolve(root, sub)) for key, sub in node.get("properties", {}).items()}
+    if None in fields.values():
+        return None
+    return _Record(tuple(node.get("required", ())), fields)
+
+
 def _leaf_array(root: dict, node: dict) -> _LeafArray | None:
-    """The bulk-check spec of node if it is nested arrays of one scalar type."""
+    """The bulk-check spec of node if it is nested arrays of one scalar
+    type or of flat records."""
     top, levels = node, []
     while node.get("type") == "array" and set(node) <= _ARRAY_KEYS:
         low, high = node.get("minItems", 0), node.get("maxItems")
@@ -133,14 +169,10 @@ def _leaf_array(root: dict, node: dict) -> _LeafArray | None:
         node = _resolve(root, item)
         if node is None:
             return None
-    kind = node.get("type")
-    # An outer minItems would reject the [] left in the skeleton.
-    if not levels or levels[0][0] or kind not in _SCALAR_KEYS:
+    item = _scalar(node) or _record(root, node)
+    if not levels or item is None:
         return None
-    types, keys = _SCALAR_KEYS[kind]
-    if not set(node) <= _ANNOTATIONS | keys:
-        return None
-    return _LeafArray(tuple(levels), frozenset(types), node.get("minimum"), top)
+    return _LeafArray(tuple(levels), item, top)
 
 
 def _strip_tree(root: dict, node: object) -> dict | _LeafArray | None:
@@ -181,7 +213,9 @@ def _strip(node: object, tree, path: tuple, found: list) -> object:
         if type(node) is not list:
             return node
         found.append((path, node, tree))
-        return []
+        # The skeleton keeps the first minItems entries, so that jsonschema
+        # still sees whether the array is long enough.
+        return node[: tree.levels[0][0]]
     if type(node) is list and _EACH in tree:
         sub = tree[_EACH]
         return [_strip(x, sub, (*path, i), found) for i, x in enumerate(node)]
@@ -191,6 +225,22 @@ def _strip(node: object, tree, path: tuple, found: list) -> object:
             if key in node:
                 node[key] = _strip(node[key], sub, (*path, key), found)
     return node
+
+
+def _scalars_ok(items: list, spec: _Scalar) -> bool:
+    if not items:
+        return True
+    if not set(map(type, items)) <= spec.types:
+        return False
+    if float in spec.types:
+        try:
+            if not np.isfinite(np.array(items, dtype=np.float64)).all():
+                return False
+        except OverflowError:
+            return False
+    if spec.min_length and min(map(len, items)) < spec.min_length:
+        return False
+    return spec.minimum is None or min(items) >= spec.minimum
 
 
 def _leaf_ok(value: list, spec: _LeafArray) -> bool:
@@ -205,25 +255,26 @@ def _leaf_ok(value: list, spec: _LeafArray) -> bool:
         if high is not None and max(map(len, items), default=0) > high:
             return False
         items = list(chain.from_iterable(items))
-    if not items:
-        return True
-    if not set(map(type, items)) <= spec.types:
+    if isinstance(spec.item, _Scalar):
+        return _scalars_ok(items, spec.item)
+    if not set(map(type, items)) <= {dict}:
         return False
-    if float in spec.types:
-        try:
-            if not np.isfinite(np.array(items, dtype=np.float64)).all():
-                return False
-        except OverflowError:
-            return False
-    return spec.minimum is None or min(items) >= spec.minimum
+    record = spec.item
+    if not all(key in r for key in record.required for r in items):
+        return False
+    return all(
+        _scalars_ok([r[key] for r in items if key in r], field)
+        for key, field in record.fields.items()
+    )
 
 
 def validate_document(doc: object, schema_name: str) -> None:
     """Schema-check a parsed document; FormatError names the bad path.
 
     jsonschema walks a skeleton of the document whose leaf arrays (logits,
-    spans, weight matrices, token lists) are emptied; each of those is
-    checked in bulk instead, and only an array that fails is walked
+    spans, weight matrices, token lists, a structure's entity and relation
+    records) are emptied down to their minItems; each of those is checked
+    in bulk instead, and only an array that fails is walked
     element by element to find the location.  Beyond the schema, every
     number must be finite and an integer may not be written as 1.0."""
     validator, tree = _checker(schema_name)

@@ -76,7 +76,7 @@ def softmax(v: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise stabilized softmax for a 2-D array."""
+    """Stabilized softmax over the last axis."""
     m = np.asarray(m, dtype=np.float64)
     shifted = m - m.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -134,15 +134,14 @@ def multi_head_attention(
     if kv.shape[0] == 0:
         raise ValueError("attention needs at least one key/value position")
     scale = 1.0 / np.sqrt(float(params.head_dim))
+    # Every head at once: (Q, dim) @ (heads, dim, head_dim) -> (heads, Q, head_dim).
+    qh = q @ params.wq
+    kh = kv @ params.wk
+    vh = kv @ params.wv
+    attn = softmax_rows(qh @ kh.transpose(0, 2, 1) * scale)
     out = np.zeros_like(q)
-    attn = np.empty((params.heads, q.shape[0], kv.shape[0]), dtype=np.float64)
-    for h in range(params.heads):
-        qh = q @ params.wq[h]
-        kh = kv @ params.wk[h]
-        vh = kv @ params.wv[h]
-        weights = softmax_rows(qh @ kh.T * scale)
-        attn[h] = weights
-        out += (weights @ vh) @ params.wo[h]
+    for head_out in (attn @ vh) @ params.wo:  # summed in head order
+        out += head_out
     return out, attn
 
 

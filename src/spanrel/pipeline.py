@@ -4,8 +4,10 @@ Tokens are hash-encoded into embeddings, every span up to the width limit
 is represented and pruned to the top K, survivors are classified into
 entity logits, ordered pairs of survivors repeat the same filter/classify
 cycle for relations, and the result is packed into a ScoredInstance ready
-for any decoder.  Pure function of (tokens, params, config): identical
-inputs give bit-identical outputs.
+for any decoder.  The pair grid stays in factored form (PairGrid): its
+K*K rows are ranked without being built, and only the kept ones are.
+Pure function of (tokens, params, config): identical inputs give
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,18 +15,22 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .decode import ALGORITHMS, ScoredInstance
 from .filter_refine import FilterResult, filter_and_refine
 from .params import ModelParams
-from .representation import (
+# forward does not call relation_representations (see there), but every
+# representation step stays importable here, where perfbench/spantrace.py
+# wraps this module's names.
+from .representation import (  # noqa: F401
     SpanCandidate,
+    SpanGrid,
     TokenEmbeddings,
     classify_relations,
     classify_spans,
     encode_tokens,
     enumerate_spans,
+    pair_from_index,
+    pair_grid,
     relation_representations,
     span_representations,
     valid_span_count,
@@ -84,15 +90,24 @@ class ForwardResult:
     pair_filter keep their full ranking-score vectors and, when depth is
     at least 1 and anything survived, the last READ attention (heads, K,
     L).  pair_candidates lists the ordered pairs over kept spans that the
-    relation filter chose from; instance.pairs is its kept subset.
+    relation filter chose from; instance.pairs is its kept subset.  Both
+    candidate lists are built on access; scoring never needs them.
     """
 
     instance: ScoredInstance
     embeddings: TokenEmbeddings
-    span_candidates: tuple[SpanCandidate, ...]
+    max_span_width: int
     span_filter: FilterResult
-    pair_candidates: tuple[tuple[int, int], ...]
     pair_filter: FilterResult
+
+    @property
+    def span_candidates(self) -> tuple[SpanCandidate, ...]:
+        return tuple(enumerate_spans(self.instance.length, self.max_span_width))
+
+    @property
+    def pair_candidates(self) -> tuple[tuple[int, int], ...]:
+        k = len(self.instance.spans)
+        return tuple(pair_from_index(i, k) for i in range(k * k))
 
 
 def default_k_span(length: int, max_span_width: int) -> int:
@@ -113,11 +128,10 @@ def forward(
     if any(not isinstance(t, str) or not t for t in tokens):
         raise ValueError("tokens must be non-empty strings")
 
-    emb = encode_tokens(list(tokens), params.dim, config.seed)
+    emb = encode_tokens(tokens, params.dim, config.seed)
     length = emb.length
-    spans = enumerate_spans(length, params.max_span_width)
+    spans = SpanGrid(length, params.max_span_width)
     span_reps = span_representations(emb, spans, params.span_proj)
-    span_valid = np.array([sp.valid for sp in spans], dtype=bool)
     k_span = (
         config.k_span
         if config.k_span is not None
@@ -131,37 +145,32 @@ def forward(
         params.span_read,
         params.span_process_attn,
         params.span_process_ffn,
-        valid=span_valid,
+        valid=spans.valid,
         depth=config.depth,
     )
     entity_logits = classify_spans(span_fr.representations, params.entity_head)
 
-    rel_reps, pair_list, pair_valid = relation_representations(
-        span_fr.representations, params.relation_proj
-    )
+    # The rows of relation_representations, without building all K*K of them.
+    pairs = pair_grid(span_fr.representations, params.relation_proj)
     k_rel = config.k_rel if config.k_rel is not None else k_span
     pair_fr = filter_and_refine(
-        rel_reps,
+        pairs,
         emb.vectors,
         k_rel,
         params.relation_filter,
         params.relation_read,
         params.relation_process_attn,
         params.relation_process_ffn,
-        valid=pair_valid,
+        valid=pairs.valid(),
         depth=config.depth,
     )
     relation_logits = classify_relations(pair_fr.representations, params.relation_head)
 
-    kept_spans = tuple(
-        (spans[i].start, spans[i].end) for i in span_fr.kept_indices
-    )
-    kept_pairs = tuple(pair_list[j] for j in pair_fr.kept_indices)
     instance = ScoredInstance(
         length=length,
-        spans=kept_spans,
+        spans=tuple(spans.span(i) for i in span_fr.kept_indices),
         entity_logits=entity_logits,
-        pairs=kept_pairs,
+        pairs=tuple(pair_from_index(j, pairs.k) for j in pair_fr.kept_indices),
         relation_logits=relation_logits,
         inventory=params.inventory,
         bias=params.bias,
@@ -170,9 +179,8 @@ def forward(
     return ForwardResult(
         instance=instance,
         embeddings=emb,
-        span_candidates=tuple(spans),
+        max_span_width=params.max_span_width,
         span_filter=span_fr,
-        pair_candidates=tuple(pair_list),
         pair_filter=pair_fr,
     )
 

@@ -3,19 +3,31 @@ classification heads, and the additive type-bias table.
 
 Span candidates for a sentence of length L with maximum width M are laid out
 as a fixed L*M grid ordered by (start, width); candidates that would run past
-the end of the sentence are kept in the grid but marked invalid.  Relation
+the end of the sentence are kept in the grid but marked invalid.  Grid index
+i is the span starting at i // M and ending at i // M + i % M.  Relation
 candidates over K spans are the K*K ordered pairs in head-major order
 (flat index = head * K + tail); self-pairs are generated but marked invalid.
+
+Span and pair rows are projections of concat(left, right) through a 2D x D
+matrix, computed in factored form: the row for (a, b) is L[a] + R[b] with
+L = X @ W[:D] and R = X @ W[D:], so each endpoint is projected once.  The
+forward pass never materializes the K*K pair grid: PairGrid holds the two
+K x D factors, ranks pairs through the factored first layer of the ranking
+feed-forward and builds D-wide rows only for the pairs it keeps.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .numerics import feed_forward, make_rng, softmax
+from .numerics import feed_forward, make_rng
+
+# Token vectors cached per (token, dim, seed); about 5 MB at dim 64.
+TOKEN_CACHE_SIZE = 8192
 
 NULL_ENTITY = "non-entity"
 NULL_RELATION = "no-relation"
@@ -99,19 +111,24 @@ def encode_tokens(tokens, dim: int, seed: int = 0) -> TokenEmbeddings:
 
     The same token always maps to the same vector, on every platform.
     """
-    tokens = list(tokens)
+    tokens = tuple(tokens)
     if not tokens:
         raise ValueError("token list must be non-empty")
     if dim < 1:
         raise ValueError("dim must be positive")
-    vectors = np.empty((len(tokens), dim), dtype=np.float64)
-    for i, tok in enumerate(tokens):
-        digest = hashlib.blake2b(
-            tok.encode("utf-8"), digest_size=8, key=str(seed).encode("utf-8")
-        ).digest()
-        rng = make_rng(int.from_bytes(digest, "little"))
-        vectors[i] = rng.uniform(-1.0, 1.0, size=dim)
-    return TokenEmbeddings(tuple(tokens), vectors)
+    # np.stack copies, so callers never hold the cached (read-only) rows.
+    vectors = np.stack([_token_vector(tok, dim, seed) for tok in tokens])
+    return TokenEmbeddings(tokens, vectors)
+
+
+@lru_cache(maxsize=TOKEN_CACHE_SIZE)
+def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
+    digest = hashlib.blake2b(
+        token.encode("utf-8"), digest_size=8, key=str(seed).encode("utf-8")
+    ).digest()
+    vector = make_rng(int.from_bytes(digest, "little")).uniform(-1.0, 1.0, size=dim)
+    vector.flags.writeable = False
+    return vector
 
 
 @dataclass(frozen=True)
@@ -125,44 +142,81 @@ class SpanCandidate:
         return self.end - self.start + 1
 
 
+@dataclass(frozen=True)
+class SpanGrid:
+    """The L*M candidate grid as index arrays: starts, inclusive ends and
+    the valid mask, in grid order (see the module docstring)."""
+
+    length: int
+    max_width: int
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    valid: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.length < 1 or self.max_width < 1:
+            raise ValueError("length and max_width must be positive")
+        starts, widths = np.divmod(np.arange(self.length * self.max_width), self.max_width)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ends", starts + widths)
+        object.__setattr__(self, "valid", self.ends < self.length)
+
+    def span(self, index: int) -> tuple[int, int]:
+        """(start, end) of grid index `index`."""
+        start, width = divmod(index, self.max_width)
+        return start, start + width
+
+
 def enumerate_spans(length: int, max_width: int) -> list[SpanCandidate]:
     """All L*M candidates ordered by (start, width); (i, i+w) is invalid iff
     i+w runs past the last token."""
-    if length < 1 or max_width < 1:
-        raise ValueError("length and max_width must be positive")
-    out = []
-    for i in range(length):
-        for w in range(max_width):
-            j = i + w
-            out.append(SpanCandidate(i, j, j < length))
-    return out
+    grid = SpanGrid(length, max_width)
+    return [
+        SpanCandidate(start, end, valid)
+        for start, end, valid in zip(
+            grid.starts.tolist(), grid.ends.tolist(), grid.valid.tolist()
+        )
+    ]
 
 
 def valid_span_count(length: int, max_width: int) -> int:
     return sum(min(max_width, length - i) for i in range(length))
 
 
+def _endpoint_factors(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x @ w[:D], x @ w[D:]) for a 2D x D matrix w: the left and right
+    factors of concat(x[a], x[b]) @ w = left[a] + right[b]."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    d = x.shape[1]
+    return x @ w[:d], x @ w[d:]
+
+
 def span_representations(
-    embeddings: TokenEmbeddings, spans: list[SpanCandidate], w_ent: np.ndarray
+    embeddings: TokenEmbeddings, spans: SpanGrid | list[SpanCandidate], w_ent: np.ndarray
 ) -> np.ndarray:
     """Project concat(start embedding, end embedding) through w_ent (2D x D).
 
-    Row k corresponds to spans[k]; invalid candidates get a zero row.
+    Row k corresponds to spans[k] (a SpanGrid or any list of candidates);
+    invalid candidates get a zero row.
     """
     w_ent = np.asarray(w_ent, dtype=np.float64)
     d = embeddings.dim
     if w_ent.shape != (2 * d, d):
         raise ValueError(f"w_ent shape {w_ent.shape} != {(2 * d, d)}")
-    h = embeddings.vectors
-    out = np.zeros((len(spans), d), dtype=np.float64)
-    valid = [k for k, s in enumerate(spans) if s.valid]
-    if valid:
-        starts = np.array([spans[k].start for k in valid])
-        ends = np.array([spans[k].end for k in valid])
+    if isinstance(spans, SpanGrid):
+        starts, ends, valid = spans.starts, spans.ends, spans.valid
+    else:
+        starts = np.array([s.start for s in spans], dtype=np.int64)
+        ends = np.array([s.end for s in spans], dtype=np.int64)
+        valid = np.array([s.valid for s in spans], dtype=bool)
+    starts, ends = starts[valid], ends[valid]
+    out = np.zeros((len(valid), d), dtype=np.float64)
+    if starts.size:
         if starts.min() < 0 or ends.max() >= embeddings.length:
             raise IndexError("span index out of range for the sentence")
-        cat = np.concatenate([h[starts], h[ends]], axis=1)
-        out[valid] = cat @ w_ent
+        left, right = _endpoint_factors(embeddings.vectors, w_ent)
+        out[valid] = left[starts] + right[ends]
     return out
 
 
@@ -180,27 +234,64 @@ def pair_from_index(index: int, k: int) -> tuple[int, int]:
     return divmod(index, k)
 
 
-def relation_representations(
-    span_reps: np.ndarray, w_rel: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
-    """All K*K ordered-pair representations w_rel^T (head ++ tail).
+@dataclass(frozen=True)
+class PairGrid:
+    """The K*K ordered-pair grid w_rel^T (head ++ tail) in factored form.
 
-    Returns (reps, pairs, valid) where pairs[i] = pair_from_index(i, K) and
-    valid marks off-diagonal pairs; self-pairs carry a representation row but
-    are masked out downstream.
+    Row head * K + tail is head_part[head] + tail_part[tail]; no K*K x D
+    matrix is built unless rows() is asked for every index.
     """
+
+    head_part: np.ndarray  # (K, D) span_reps @ w_rel[:D]
+    tail_part: np.ndarray  # (K, D) span_reps @ w_rel[D:]
+
+    @property
+    def k(self) -> int:
+        return self.head_part.shape[0]
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """Representation rows of the given flat pair indices."""
+        heads, tails = np.divmod(np.asarray(index, dtype=np.int64), self.k)
+        return self.head_part[heads] + self.tail_part[tails]
+
+    def affine(self, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """rows(all) @ w + bias, shaped (K*K, w's width), computed as
+        (head_part @ w + bias)[head] + (tail_part @ w)[tail]: K*K adds per
+        output column instead of a K*K x D x width product."""
+        head = self.head_part @ w + bias
+        tail = self.tail_part @ w
+        return (head[:, None, :] + tail[None, :, :]).reshape(self.k * self.k, -1)
+
+    def valid(self) -> np.ndarray:
+        """Flat mask of off-diagonal (head != tail) pairs."""
+        return ~np.eye(self.k, dtype=bool).ravel()
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """Every (head, tail) in flat-index order."""
+        return [(h, t) for h in range(self.k) for t in range(self.k)]
+
+
+def pair_grid(span_reps: np.ndarray, w_rel: np.ndarray) -> PairGrid:
+    """The factored K*K pair grid over K span representations."""
     span_reps = np.asarray(span_reps, dtype=np.float64)
-    k, d = span_reps.shape
+    d = span_reps.shape[1]
     w_rel = np.asarray(w_rel, dtype=np.float64)
     if w_rel.shape != (2 * d, d):
         raise ValueError(f"w_rel shape {w_rel.shape} != {(2 * d, d)}")
-    heads = np.repeat(np.arange(k), k)
-    tails = np.tile(np.arange(k), k)
-    cat = np.concatenate([span_reps[heads], span_reps[tails]], axis=1)
-    reps = cat @ w_rel
-    pairs = list(zip(heads.tolist(), tails.tolist()))
-    valid = heads != tails
-    return reps, pairs, valid
+    return PairGrid(*_endpoint_factors(span_reps, w_rel))
+
+
+def relation_representations(
+    span_reps: np.ndarray, w_rel: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
+    """All K*K ordered-pair representations w_rel^T (head ++ tail), dense.
+
+    Returns (reps, pairs, valid) where pairs[i] = pair_from_index(i, K) and
+    valid marks off-diagonal pairs; self-pairs carry a representation row but
+    are masked out downstream.  Rows equal pair_grid(...).rows() exactly.
+    """
+    grid = pair_grid(span_reps, w_rel)
+    return grid.rows(np.arange(grid.k * grid.k)), grid.pairs(), grid.valid()
 
 
 def classify_spans(span_reps: np.ndarray, head_params) -> np.ndarray:
@@ -302,24 +393,14 @@ def apply_bias(
     return rel_logits + table.combined()[head_types, tail_types, :]
 
 
-def gumbel_softmax_sample(
-    logits: np.ndarray, temperature: float, rng: np.random.Generator
-) -> np.ndarray:
-    """softmax((logits + g) / temperature) with g ~ Gumbel(0, 1) = -ln(-ln u)."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    logits = np.asarray(logits, dtype=np.float64)
-    u = np.clip(rng.random(logits.shape), 1e-300, 1.0 - 1e-16)
-    g = -np.log(-np.log(u))
-    return softmax((logits + g) / temperature)
-
-
 __all__ = [
     "NULL_ENTITY",
     "NULL_RELATION",
     "TypeInventory",
     "TokenEmbeddings",
     "SpanCandidate",
+    "SpanGrid",
+    "PairGrid",
     "BiasTable",
     "encode_tokens",
     "enumerate_spans",
@@ -327,10 +408,10 @@ __all__ = [
     "span_representations",
     "pair_index",
     "pair_from_index",
+    "pair_grid",
     "relation_representations",
     "classify_spans",
     "classify_relations",
     "bias_lookup",
     "apply_bias",
-    "gumbel_softmax_sample",
 ]

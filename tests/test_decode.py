@@ -614,3 +614,29 @@ def test_unconstrained_constraints_permit_everything():
         for et in range(3):
             for r in range(3):
                 assert cons.allows(eh, et, r)
+
+
+def test_decode_refuses_a_non_finite_objective():
+    """A finite 1e308 bias entry makes joint's objective overflow; decode()
+    raises instead of returning inf, and no algorithm returns a non-finite
+    objective."""
+    import json
+    import math
+    from pathlib import Path
+
+    from spanrel.formats import instances_from_score_doc
+
+    doc = json.loads((Path(__file__).parent / "fixtures" / "golden_score.json").read_text())
+    doc["bias"]["joint"][1][1][0] = 1e308
+    instances = instances_from_score_doc(doc)
+    raised = set()
+    for algorithm in ("unconstrained", "entity_first", "joint", "relation_first"):
+        for inst in instances:
+            try:
+                st = decode(inst, algorithm, ConstraintSet(inst.inventory))
+            except ValueError as exc:
+                assert str(exc).startswith(f"{algorithm} objective is inf")
+                raised.add(algorithm)
+            else:
+                assert math.isfinite(st.score)
+    assert "joint" in raised

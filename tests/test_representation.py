@@ -16,7 +16,6 @@ from spanrel import (
     classify_spans,
     encode_tokens,
     enumerate_spans,
-    gumbel_softmax_sample,
     make_rng,
     pair_from_index,
     pair_index,
@@ -207,18 +206,3 @@ def test_sentinel_bias_blocks_argmax():
     logits = np.array([[0.0, 100.0]])
     out = apply_bias(logits, np.array([1]), np.array([1]), table)
     assert int(np.argmax(out[0])) == 0
-
-
-def test_gumbel_softmax_sample():
-    rng = make_rng(5)
-    logits = np.array([2.0, 0.0, -1.0])
-    s = gumbel_softmax_sample(logits, temperature=0.5, rng=rng)
-    assert s.shape == (3,)
-    assert abs(s.sum() - 1.0) < 1e-12
-    assert (s >= 0).all()
-    # low temperature concentrates mass
-    rng = make_rng(5)
-    cold = gumbel_softmax_sample(logits, temperature=1e-3, rng=rng)
-    assert cold.max() > 0.999
-    with pytest.raises(ValueError):
-        gumbel_softmax_sample(logits, temperature=0.0, rng=rng)

@@ -43,11 +43,22 @@ def _structure_doc() -> dict:
     return json.loads(json.dumps(doc))
 
 
+GOLD = {
+    "sentences": [
+        {"entities": [[0, 1, "Peop"], [3, 3, "Org"]], "relations": [[[0, 1], [3, 3], "Work_For"]]},
+        {"entities": [], "relations": []},
+    ]
+}
+
 DOCS = {
     "score": _load("golden_score.json"),
     "params": _load("params.json"),
     "structure": _structure_doc(),
+    "sentences": _load("sentences.json"),
+    "gold": GOLD,
 }
+
+RELATION = {"head": 0, "tail": 1, "type": "Work_For", "score": 0.5}
 
 
 def _parent(doc, path: str):
@@ -152,6 +163,33 @@ PARITY = {
         "score",
         [put(f"sentences/0/{k}", []) for k in ("spans", "entity_logits", "pairs", "relation_logits")],
     ),
+    # token lists: at least one token, each a non-empty string
+    "sentences-unchanged": ("sentences", []),
+    "sentences-empty-token-list": ("sentences", [put("sentences/0/tokens", [])]),
+    "sentences-empty-token": ("sentences", [put("sentences/1/tokens/2", "")]),
+    "sentences-number-token": ("sentences", [put("sentences/0/tokens/1", 5)]),
+    "sentences-null-first-token": ("sentences", [put("sentences/3/tokens/0", None)]),
+    # structure entity and relation records
+    "structure-valid-relation": ("structure", [put("sentences/1/relations", [dict(RELATION)])]),
+    "structure-entity-missing-score": ("structure", [drop("sentences/1/entities/1/score")]),
+    "structure-entity-string-start": ("structure", [put("sentences/2/entities/0/start", "1")]),
+    "structure-entity-negative-end": ("structure", [put("sentences/0/entities/0/end", -1)]),
+    "structure-entity-not-object": ("structure", [put("sentences/1/entities/0", [0, 1])]),
+    "structure-relation-head-below-minus-one": (
+        "structure",
+        [put("sentences/1/relations", [dict(RELATION, head=-2)])],
+    ),
+    "structure-relation-missing-tail": (
+        "structure",
+        [put("sentences/2/relations", [{k: v for k, v in RELATION.items() if k != "tail"}])],
+    ),
+    "structure-relation-bool-score": (
+        "structure",
+        [put("sentences/0/relations", [dict(RELATION, score=True)])],
+    ),
+    # gold triples
+    "gold-unchanged": ("gold", []),
+    "gold-short-relation-triple": ("gold", [put("sentences/0/relations/0", lambda r: r[:2])]),
 }
 
 
@@ -161,7 +199,7 @@ def test_parity_with_full_jsonschema(case):
     doc = mutated(schema, *mutations)
     expected = plain_outcome(doc, schema)
     assert outcome(doc, schema) == expected
-    if case.endswith(("unchanged", "ragged-logit", "ragged-bias", "empty-sentence")):
+    if case.endswith(("unchanged", "ragged-logit", "ragged-bias", "empty-sentence", "valid-relation")):
         assert expected is None
     else:
         assert expected is not None
@@ -177,11 +215,13 @@ STRICTER = {
     "params-inf-attention": ("params", "relation_read/wo/1/0/2", math.inf),
     "params-nan-bias": ("params", "bias/tail_relation/1/0", math.nan),
     "structure-nan-objective": ("structure", "sentences/0/objective", math.nan),
+    "structure-inf-entity-score": ("structure", "sentences/1/entities/0/score", math.inf),
     # integers carry no decimal point
     "score-float-span": ("score", "sentences/0/spans/0/1", 1.0),
     "score-float-kept": ("score", "sentences/1/span_kept/0", 1.0),
     "score-float-length": ("score", "sentences/2/length", 5.0),
     "structure-float-label": ("structure", "sentences/0/entity_labels/0", 0.0),
+    "structure-float-entity-start": ("structure", "sentences/2/entities/1/start", 2.0),
 }
 
 
