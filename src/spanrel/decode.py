@@ -9,7 +9,10 @@ Four algorithms, all deterministic:
   cells masked to a large negative sentinel.
 * ``joint``: exact maximizer of the full additive objective over all
   entity and relation labels subject to every active constraint, found by
-  depth-first branch and bound.
+  depth-first branch and bound over span labels.  Its bound follows the
+  search: pair values are conditioned on the endpoint types already
+  decided, and under non-overlap the undecided spans' gains over null are
+  bounded by an exact weighted-interval-scheduling pass.
 * ``relation_first``: exact relation labeling first (restricted to
   labelings that admit at least one consistent entity typing), then exact
   entity labeling under the forcing imposed by those relations.
@@ -18,7 +21,12 @@ Tie rules are fixed throughout: argmax ties go to the lower type index,
 the interval DP prefers excluding the later-sorted interval, and the
 branch-and-bound searches explore labels in descending-logit order and
 replace the incumbent only on strict improvement, which makes "first
-optimum in search order" well defined.
+optimum in search order" well defined.  A bound only decides which
+subtrees are skipped, never the order of the rest, so a tighter bound
+returns the same structure with fewer nodes.
+
+The whitelist is compiled once per constraint set into a boolean
+(E, E, R) array, ``ConstraintSet.allowed``, which every decoder reads.
 
 The brute-force oracles at the bottom re-derive the same optima by
 enumeration and exist only to cross-check the fast paths on tiny inputs.
@@ -37,6 +45,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,18 +119,30 @@ class ConstraintSet:
     closed_world: bool = False
     allowed_pairs: dict[tuple[str, str], frozenset[str]] = field(default_factory=dict)
 
+    @cached_property
+    def allowed(self) -> np.ndarray:
+        """The whitelist compiled once into a boolean (E, E, R) array.
+
+        allowed[h, t, r] is allows(h, t, r) for every index triple, null
+        types included; the null-relation column is all True.
+        """
+        ents = self.inventory.entity_types
+        rels = self.inventory.relation_types
+        out = np.full((len(ents), len(ents), len(rels)), not self.closed_world)
+        for eh, head in enumerate(ents):
+            for et, tail in enumerate(ents):
+                listed = self.allowed_pairs.get((head, tail))
+                if listed is not None:
+                    out[eh, et] = [name in listed for name in rels]
+        out[:, :, NULL] = True
+        out.flags.writeable = False
+        return out
+
     def allows(self, head_type: int, tail_type: int, relation: int) -> bool:
         """Whitelist membership on type indices (endpoint rule not included)."""
         if relation == NULL:
             return True
-        key = (
-            self.inventory.entity_types[head_type],
-            self.inventory.entity_types[tail_type],
-        )
-        listed = self.allowed_pairs.get(key)
-        if listed is None:
-            return not self.closed_world
-        return self.inventory.relation_types[relation] in listed
+        return bool(self.allowed[head_type, tail_type, relation])
 
 
 def unconstrained_constraints(inventory: TypeInventory) -> ConstraintSet:
@@ -379,12 +400,12 @@ def entity_first_decode(
     argmax of logits plus bias, with whitelist-forbidden cells masked to
     the sentinel; candidates touching a dropped span stay null.
     """
-    ents = [NULL] * len(instance.spans)
-    survivors = []
-    for i, row in enumerate(instance.entity_logits):
-        e = int(np.argmax(row))
-        if e != NULL:
-            survivors.append((i, e, float(row[e])))
+    ent = instance.entity_logits
+    winners = ent.argmax(axis=1)
+    survivors = [
+        (i, e, float(ent[i, e])) for i, e in enumerate(winners.tolist()) if e != NULL
+    ]
+    ents = np.zeros(len(instance.spans), dtype=np.intp)
     if constraints.non_overlap:
         pool = [
             (instance.spans[i][0], instance.spans[i][1], w) for i, _, w in survivors
@@ -396,25 +417,20 @@ def entity_first_decode(
         for i, e, _ in survivors:
             ents[i] = e
 
-    rels = [NULL] * len(instance.pairs)
-    table = (
-        instance.bias.combined() if (use_bias and instance.bias is not None) else None
-    )
-    for p, (h, t) in enumerate(instance.pairs):
-        eh, et = ents[h], ents[t]
-        if eh == NULL or et == NULL:
-            if constraints.consistency:
-                continue
-            rels[p] = int(np.argmax(instance.relation_logits[p]))
-            continue
-        row = instance.relation_logits[p].copy()
-        if table is not None:
-            row = row + table[eh, et]
-        for r in range(1, row.shape[0]):
-            if not constraints.allows(eh, et, r):
-                row[r] = NEG_SENTINEL
-        rels[p] = int(np.argmax(row))
-    ents_t, rels_t = tuple(ents), tuple(rels)
+    rel = instance.relation_logits
+    pairs = np.array(instance.pairs, dtype=np.intp).reshape(-1, 2)
+    eh, et = ents[pairs[:, 0]], ents[pairs[:, 1]]
+    typed = (eh != NULL) & (et != NULL)
+    rels = np.zeros(len(pairs), dtype=np.intp)
+    if not constraints.consistency:
+        rels[~typed] = rel[~typed].argmax(axis=1)
+    eh, et = eh[typed], et[typed]
+    rows = rel[typed]
+    if use_bias and instance.bias is not None:
+        rows = rows + instance.bias.combined()[eh, et]
+    rows = np.where(constraints.allowed[eh, et], rows, NEG_SENTINEL)
+    rels[typed] = rows.argmax(axis=1)
+    ents_t, rels_t = tuple(ents.tolist()), tuple(rels.tolist())
     return DecodedStructure(
         ents_t, rels_t, structure_score(instance, ents_t, rels_t, use_bias)
     )
@@ -429,8 +445,8 @@ class _RelationResolver:
 
     Built once per decode; legal[eh][et] lists the relation labels the
     whitelist permits for that typing (null always first).  best() is the
-    exact per-pair argmax used at search leaves, cap() an admissible
-    upper bound used in branch-and-bound bounds.
+    exact per-pair argmax, one label at a time; values() tabulates the same
+    argmax for every pair and endpoint typing at once.
     """
 
     def __init__(
@@ -440,25 +456,17 @@ class _RelationResolver:
         use_bias: bool,
     ) -> None:
         self.consistency = constraints.consistency
+        self.allowed = constraints.allowed
         self.table = (
             instance.bias.combined()
             if (use_bias and instance.bias is not None)
             else None
         )
-        n_ent = len(instance.inventory.entity_types)
-        n_rel = len(instance.inventory.relation_types)
-        self.n_rel = n_rel
+        self.logits = instance.relation_logits
         self.rows = [row.tolist() for row in instance.relation_logits]
         self.legal = [
-            [
-                tuple(
-                    r
-                    for r in range(n_rel)
-                    if r == NULL or constraints.allows(eh, et, r)
-                )
-                for et in range(n_ent)
-            ]
-            for eh in range(n_ent)
+            [tuple(np.flatnonzero(allowed).tolist()) for allowed in head]
+            for head in self.allowed
         ]
 
     def best(self, p: int, eh: int, et: int) -> tuple[int, float]:
@@ -487,23 +495,26 @@ class _RelationResolver:
                 best_r, best_v = r, v
         return best_r, best_v
 
-    def cap(self, p: int) -> float:
-        """Admissible bound on pair p's contribution over every typing."""
-        row = self.rows[p]
-        out = row[NULL]
-        for r in range(self.n_rel):
-            reachable = r == NULL or any(
-                r in self.legal[eh][et]
-                for eh in range(1, len(self.legal))
-                for et in range(1, len(self.legal))
-            )
-            if not reachable and self.consistency:
-                continue
-            bonus = 0.0
-            if self.table is not None:
-                bonus = max(0.0, float(self.table[:, :, r].max()))
-            out = max(out, row[r] + bonus)
-        return out
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """best() for every pair and endpoint typing at once.
+
+        Returns (labels, values), each shaped (pairs, E, E) and indexed
+        [p, eh, et]; every cell equals best(p, eh, et), ties included.
+        """
+        rel = self.logits
+        n_pairs, n_rel = rel.shape
+        n_ent = self.allowed.shape[0]
+        bias = self.table if self.table is not None else np.zeros((n_ent, n_ent, n_rel))
+        scored = np.where(self.allowed, rel[:, None, None, :] + bias, -np.inf)
+        labels = scored.argmax(axis=3)
+        values = np.take_along_axis(scored, labels[..., None], axis=3)[..., 0]
+        untyped = (
+            np.zeros(n_pairs, dtype=np.intp) if self.consistency else rel.argmax(axis=1)
+        )
+        for grid, fill in ((labels, untyped), (values, rel[np.arange(n_pairs), untyped])):
+            grid[:, NULL, :] = fill[:, None]
+            grid[:, :, NULL] = fill[:, None]
+        return labels, values
 
 
 def _label_orders(logits: np.ndarray) -> list[list[int]]:
@@ -532,6 +543,25 @@ def _conflict_lists(
 # joint
 
 
+def _interval_tables(
+    spans: Sequence[tuple[int, int]],
+) -> tuple[list[np.ndarray], list[list[int]]]:
+    """Weighted-interval-scheduling layouts for every suffix of spans.
+
+    For each k, items[k] lists the positions k.. of spans (as offsets from
+    k) sorted by (end, start, position), and pred[k][i] counts the items
+    of that list that end strictly before item i starts.
+    """
+    by_end = sorted(range(len(spans)), key=lambda j: (spans[j][1], spans[j][0], j))
+    items, pred = [], []
+    for k in range(len(spans)):
+        mine = [j for j in by_end if j >= k]
+        ends = [spans[j][1] for j in mine]
+        items.append(np.array(mine, dtype=np.intp) - k)
+        pred.append([bisect_right(ends, spans[j][0] - 1) for j in mine])
+    return items, pred
+
+
 def joint_decode(
     instance: ScoredInstance,
     constraints: ConstraintSet,
@@ -542,47 +572,124 @@ def joint_decode(
 
     Relations decouple once entity types are fixed: constraints tie each
     relation only to its own endpoints, and the objective is additive, so
-    each pair resolves by an independent exact argmax the moment both
-    endpoints are decided.  The search therefore branches only on span
-    labels, ordered by descending logit spread, trying labels in
-    descending-logit order.  The admissible bound adds each undecided
-    span's best logit and each unresolved pair's cap.  The incumbent is
-    replaced only on strict improvement, so the result is the first
-    optimum in search order.  budget caps expanded nodes; exceeding it
-    raises BudgetExceededError.
+    each pair resolves by an independent exact argmax, read from a table
+    of every pair under every endpoint typing, the moment both endpoints
+    are decided.  The search therefore branches only on span labels,
+    ordered by descending logit spread, trying labels in descending-logit
+    order.
+
+    The bound is admissible and follows the search.  Each undecided span
+    j has a row T[j, e]: its logit for type e plus, for every pair whose
+    later endpoint is j, the pair's value given the other endpoint's
+    decided type, or its maximum over that endpoint's types while it is
+    undecided.  Without non-overlap the bound is the sum of the row
+    maxima.  Under non-overlap it is the sum of T[j, null] plus the
+    exact maximum-weight set of pairwise disjoint spans weighted by their
+    positive gains max_{e>0} T[j, e] - T[j, null] (weighted interval
+    scheduling), leaving out spans that overlap a typed decided span.  A
+    child is expanded only while its bound exceeds the incumbent, and the
+    incumbent is replaced only on strict improvement.  A tighter bound
+    only skips subtrees that cannot beat the incumbent, so the result is
+    still the first optimum in search order.  budget caps expanded nodes;
+    exceeding it raises BudgetExceededError.
     """
-    s = len(instance.spans)
-    if s == 0:
+    if not instance.spans:
         return DecodedStructure((), (), 0.0)
+    # Sums past the float64 range stay silent here: decode() rejects an
+    # objective that is not finite, and an overflowed bound only prunes less.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _joint_search(instance, constraints, use_bias, budget)
+
+
+def _joint_search(
+    instance: ScoredInstance,
+    constraints: ConstraintSet,
+    use_bias: bool,
+    budget: int | None,
+) -> DecodedStructure:
+    """The branch and bound behind joint_decode, on a non-empty instance."""
+    s = len(instance.spans)
     ent = instance.entity_logits
-    resolver = _RelationResolver(instance, constraints, use_bias)
+    n_ent = ent.shape[1]
+    pairs = instance.pairs
+    label_table, value_table = _RelationResolver(instance, constraints, use_bias).values()
+    label_of, value_of = label_table.tolist(), value_table.tolist()
 
     spread = ent.max(axis=1) - ent.min(axis=1)
     span_order = sorted(range(s), key=lambda i: (-spread[i], i))
     pos_of = {sp: k for k, sp in enumerate(span_order)}
     label_order = _label_orders(ent)
-    conflicts = _conflict_lists(instance.spans, span_order)
+    spans = [instance.spans[sp] for sp in span_order]  # by depth
+    check_overlap = constraints.non_overlap
 
-    suffix = [0.0] * (s + 1)
-    for k in range(s - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + float(ent[span_order[k]].max())
-
-    pairs = instance.pairs
+    # Bound rows by depth.  A pair counts at its later endpoint's depth,
+    # maximized over the earlier endpoint's types; deciding that endpoint
+    # adds, per label, the gap to the pair's value given that label.
+    rows = ent[span_order].copy()
     pairs_by_depth: list[list[int]] = [[] for _ in range(s)]
+    shifts: list[dict[int, np.ndarray]] = [{} for _ in range(s)]
     for p, (h, t) in enumerate(pairs):
-        pairs_by_depth[max(pos_of[h], pos_of[t])].append(p)
-    suffix_cap = [0.0] * (s + 1)
-    for k in range(s - 1, -1, -1):
-        suffix_cap[k] = suffix_cap[k + 1] + sum(
-            resolver.cap(p) for p in pairs_by_depth[k]
+        dh, dt = pos_of[h], pos_of[t]
+        later, earlier = max(dh, dt), min(dh, dt)
+        pairs_by_depth[later].append(p)
+        given = value_table[p] if dh < dt else value_table[p].T  # [earlier, later]
+        cap = given.max(axis=0)
+        rows[later] += cap
+        shift = shifts[earlier].setdefault(later, np.zeros((n_ent, n_ent)))
+        shift += given - cap
+    updates = [
+        (np.array(list(by_row), dtype=np.intp), np.stack(list(by_row.values()), axis=1))
+        if by_row else None
+        for by_row in shifts
+    ]  # per depth: (later depths, shift per label and later depth)
+    overlapping_later = [
+        np.array(
+            [j for j in range(k + 1, s) if spans_overlap(spans[k], spans[j])],
+            dtype=np.intp,
         )
+        for k in range(s)
+    ]
+    items, pred = _interval_tables(spans) if check_overlap else ([], [])
+    # typed decided spans overlapping each depth; stays 0 without non-overlap
+    blocked = np.zeros(s, dtype=np.intp)
 
     labels = [NULL] * s
     rels = [NULL] * len(pairs)
     best_score = -np.inf
     best: DecodedStructure | None = None
     nodes = 0
-    check_overlap = constraints.non_overlap
+
+    def promising(k: int, partial: float) -> bool:
+        """Whether depth k onward may still beat the incumbent strictly.
+
+        The bound and the leaves add the same terms in different orders,
+        so on an exact tie rounding alone decides whether a later tying
+        subtree is skipped, as it did with the static bound; either way
+        the result is within rounding of the optimum.  The tests read
+        "not bound <= incumbent" so that a NaN bound from overflowed
+        sums never prunes.
+        """
+        if k == s:
+            return not partial <= best_score
+        rest = rows[k:]
+        if not check_overlap or n_ent == 1:
+            return not partial + float(rest.max(axis=1).sum()) <= best_score
+        base = partial + float(rest[:, NULL].sum())
+        gains = rest[:, 1:].max(axis=1) - rest[:, NULL]
+        gains[blocked[k:] > 0] = 0.0
+        np.maximum(gains, 0.0, out=gains)
+        total = float(gains.sum())
+        if base + total <= best_score:
+            return False
+        if total != total:  # an overflowed row; nothing to bound with
+            return True
+        w = gains[items[k]].tolist()
+        back = pred[k]
+        dp = [0.0] * (len(w) + 1)
+        for i, wi in enumerate(w):
+            take = dp[back[i]] + wi
+            dp[i + 1] = take if take > dp[i] else dp[i]
+        return not base + dp[-1] <= best_score
 
     def dfs(k: int, partial: float) -> None:
         nonlocal best_score, best, nodes
@@ -597,20 +704,32 @@ def joint_decode(
                 best = DecodedStructure(tuple(labels), tuple(rels), partial)
             return
         sp = span_order[k]
+        update = updates[k]
+        typed_ok = not blocked[k]
         for e in label_order[sp]:
-            if e != NULL and check_overlap:
-                if any(labels[o] != NULL for o in conflicts[k]):
-                    continue
+            if e != NULL and not typed_ok:
+                continue
             labels[sp] = e
             gained = float(ent[sp, e])
             for p in pairs_by_depth[k]:
                 h, t = pairs[p]
-                r, v = resolver.best(p, labels[h], labels[t])
-                rels[p] = r
-                gained += v
+                eh, et = labels[h], labels[t]
+                rels[p] = label_of[p][eh][et]
+                gained += value_of[p][eh][et]
             new_partial = partial + gained
-            if new_partial + suffix[k + 1] + suffix_cap[k + 1] > best_score:
+            if update is not None:
+                later, shift = update
+                saved = rows[later]
+                rows[later] += shift[e]
+            blocks = check_overlap and e != NULL
+            if blocks:
+                blocked[overlapping_later[k]] += 1
+            if promising(k + 1, new_partial):
                 dfs(k + 1, new_partial)
+            if blocks:
+                blocked[overlapping_later[k]] -= 1
+            if update is not None:
+                rows[later] = saved
         labels[sp] = NULL
 
     dfs(0, 0.0)

@@ -73,14 +73,21 @@ def top_k_select(z: np.ndarray | PairGrid, scores: np.ndarray, k: int) -> Filter
     """Keep the k highest-scoring valid candidates (score above the sentinel).
 
     Ties break toward the lower index; k larger than the valid count clamps.
-    Kept rows are returned in ascending original-index order.
+    Kept rows are returned in ascending original-index order.  Selection
+    is linear: argpartition finds the m-th best score, every score above
+    it is kept, and the lowest-index scores equal to it fill the rest.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be positive")
-    order = np.argsort(-scores, kind="stable")
-    valid_count = int((scores > NEG_SENTINEL).sum())
-    kept = np.sort(order[: min(k, valid_count)])
+    m = min(k, int((scores > NEG_SENTINEL).sum()))
+    if m == 0:
+        kept = np.zeros(0, dtype=np.intp)
+    else:
+        cut = scores[np.argpartition(-scores, m - 1)[m - 1]]
+        above = scores > cut
+        above[np.flatnonzero(scores == cut)[: m - int(above.sum())]] = True
+        kept = np.flatnonzero(above)
     if isinstance(z, PairGrid):
         rows = z.rows(kept)
     else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -352,6 +353,43 @@ def test_joint_tie_structures_match_oracle():
         want = oracle_joint(inst, cons)
         assert got.entity_labels == want.entity_labels
         assert got.relation_labels == want.relation_labels
+
+
+def test_joint_bound_on_dense_overlaps_matches_oracle():
+    """Crowded sentences, where the interval-DP part of joint's bound and
+    its type-conditioned pair rows both decide prunes, under every flag
+    combination: same labels as the labeling sweep, same score."""
+    rng = make_rng(14)
+    for non_overlap, consistency, closed_world, use_bias in itertools.product(
+        (False, True), repeat=4
+    ):
+        for _ in range(4):
+            inst = random_instance(
+                rng,
+                length=int(rng.integers(5, 7)),
+                max_width=3,
+                n_spans=int(rng.integers(6, 8)),
+                n_pairs=int(rng.integers(4, 9)),
+                n_entity_types=int(rng.integers(2, 4)),
+                n_relation_types=2,
+                bias_scale=0.8 if use_bias else 0.0,
+            )
+            # mixed-sign logits: null sometimes wins, sometimes loses
+            inst = dataclasses.replace(
+                inst, entity_logits=inst.entity_logits + rng.normal(0.0, 1.0)
+            )
+            cons = random_constraints(
+                rng,
+                inst.inventory,
+                non_overlap=non_overlap,
+                consistency=consistency,
+                closed_world=closed_world,
+            )
+            got = joint_decode(inst, cons, use_bias)
+            want = oracle_joint(inst, cons, use_bias)
+            assert got.entity_labels == want.entity_labels
+            assert got.relation_labels == want.relation_labels
+            assert got.score == pytest.approx(want.score, abs=1e-9)
 
 
 def test_joint_budget():
