@@ -8,13 +8,26 @@ the total against the exponential subset sweep.
 
 from __future__ import annotations
 
-from spanrel import make_rng, max_weight_nonoverlap, oracle_subset_max
+import itertools
+
+from spanrel import make_rng, max_weight_nonoverlap, spans_overlap
+
+
+def sweep_best(candidates) -> float:
+    """Best total over every pairwise-disjoint subset, by enumeration."""
+    best = 0.0  # the empty set
+    for size in range(1, len(candidates) + 1):
+        for subset in itertools.combinations(candidates, size):
+            pairs = itertools.combinations(subset, 2)
+            if not any(spans_overlap(a[:2], b[:2]) for a, b in pairs):
+                best = max(best, sum(c[2] for c in subset))
+    return best
 
 
 def show(name: str, candidates) -> None:
     chosen = max_weight_nonoverlap(candidates)
     total = sum(candidates[i][2] for i in chosen)
-    best, _ = oracle_subset_max(candidates)
+    best = sweep_best(candidates)
     print(f"{name}:")
     for i, (s, e, w) in enumerate(candidates):
         mark = "*" if i in chosen else " "

@@ -17,7 +17,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dataclass_fields
 
 from . import bench as bench_mod
@@ -71,7 +70,6 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         ("margin", "margin"),
         ("seed", "seed"),
         ("budget", "budget"),
-        ("jobs", "jobs"),
     ):
         value = getattr(args, attr, None)
         if value is not None:
@@ -116,15 +114,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     config = _make_config(args)
     sentences = load_sentences(args.sentences)
     params = _load_params(args.params)
-
-    def one(tokens):
-        return forward(tokens, params, config)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(one, sentences))
-    else:
-        results = [one(tokens) for tokens in sentences]
+    results = [forward(tokens, params, config) for tokens in sentences]
     doc = score_document(results, config.seed)
     write_json(args.output, doc)
     return 0
@@ -141,16 +131,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if instances and constraints is not None:
         _check_inventory(constraints, instances[0].inventory)
     use_bias = config.use_bias and algorithm != "unconstrained"
-
-    def one(inst):
-        return decode(inst, algorithm, constraints, use_bias, config.budget)
-
     try:
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                structures = list(pool.map(one, instances))
-        else:
-            structures = [one(inst) for inst in instances]
+        structures = [
+            decode(inst, algorithm, constraints, use_bias, config.budget)
+            for inst in instances
+        ]
     except ValueError as exc:  # an objective past the float64 range
         raise FormatError(f"{args.output} not written: {exc}") from exc
     doc = structure_document(
@@ -264,7 +249,6 @@ def cmd_init_params(args: argparse.Namespace) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser, k_flags: bool = True) -> None:
     p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
-    p.add_argument("--jobs", type=int, default=None, help="parallel sentences")
     if k_flags:
         p.add_argument("--k-span", type=int, default=None, dest="k_span")
         p.add_argument("--k-rel", type=int, default=None, dest="k_rel")
@@ -300,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--no-bias", action="store_true", help="ignore the bias table")
     p.add_argument("--budget", type=int, default=None, help="search node budget")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("verify", help="check a structure file against constraints")

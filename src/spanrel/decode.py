@@ -17,6 +17,14 @@ Four algorithms, all deterministic:
   labelings that admit at least one consistent entity typing), then exact
   entity labeling under the forcing imposed by those relations.
 
+Every exact search (joint, both relation-first stages, and the typing
+check inside stage 1) runs on one branch-and-bound engine,
+``_BranchAndBound``.  It walks a fixed number of decisions depth first
+with an explicit stack of generators, so no search is limited by
+Python's recursion depth.  The engine owns the node count and budget,
+the incumbent and the leaf snapshot; each search supplies only how to
+label one position and when a child is worth entering.
+
 Tie rules are fixed throughout: argmax ties go to the lower type index,
 the interval DP prefers excluding the later-sorted interval, and the
 branch-and-bound searches explore labels in descending-logit order and
@@ -26,10 +34,11 @@ subtrees are skipped, never the order of the rest, so a tighter bound
 returns the same structure with fewer nodes.
 
 The whitelist is compiled once per constraint set into a boolean
-(E, E, R) array, ``ConstraintSet.allowed``, which every decoder reads.
+(E, E, R) array, ``ConstraintSet.allowed``, and the bias into one
+(E, E, R) array, ``BiasTable.combined()``; every decoder reads both.
 
-The brute-force oracles at the bottom re-derive the same optima by
-enumeration and exist only to cross-check the fast paths on tiny inputs.
+Brute-force oracles that re-derive the same optima by enumeration live
+with the tests (``tests/oracles.py``), not in the package.
 
 Note on flag interplay: the endpoint rule (a non-null relation needs two
 non-null endpoints) is the ``consistency`` flag.  The staged decoders
@@ -43,7 +52,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -221,11 +230,7 @@ class DecodedStructure:
             if e != NULL:
                 pos[i] = k
                 k += 1
-        table = (
-            instance.bias.combined()
-            if (use_bias and instance.bias is not None)
-            else None
-        )
+        table = _applied_bias(instance, use_bias)
         out = []
         for p, r in enumerate(self.relation_labels):
             if r == NULL:
@@ -300,6 +305,11 @@ def check_constraints(
     return out
 
 
+def _applied_bias(instance: ScoredInstance, use_bias: bool) -> np.ndarray | None:
+    """The combined (E, E, R) bias table when the objective uses one."""
+    return instance.bias.combined() if use_bias and instance.bias is not None else None
+
+
 def structure_score(
     instance: ScoredInstance,
     entity_labels: Sequence[int],
@@ -315,9 +325,7 @@ def structure_score(
     total = 0.0
     for i, e in enumerate(entity_labels):
         total += float(instance.entity_logits[i, e])
-    table = (
-        instance.bias.combined() if (use_bias and instance.bias is not None) else None
-    )
+    table = _applied_bias(instance, use_bias)
     for p, r in enumerate(relation_labels):
         total += float(instance.relation_logits[p, r])
         if table is not None:
@@ -426,8 +434,9 @@ def entity_first_decode(
         rels[~typed] = rel[~typed].argmax(axis=1)
     eh, et = eh[typed], et[typed]
     rows = rel[typed]
-    if use_bias and instance.bias is not None:
-        rows = rows + instance.bias.combined()[eh, et]
+    table = _applied_bias(instance, use_bias)
+    if table is not None:
+        rows = rows + table[eh, et]
     rows = np.where(constraints.allowed[eh, et], rows, NEG_SENTINEL)
     rels[typed] = rows.argmax(axis=1)
     ents_t, rels_t = tuple(ents.tolist()), tuple(rels.tolist())
@@ -440,81 +449,91 @@ def entity_first_decode(
 # shared machinery for the exact searches
 
 
-class _RelationResolver:
-    """Per-instance tables for resolving one pair's best label exactly.
+class _BranchAndBound:
+    """Depth-first branch and bound over a fixed number of decisions.
 
-    Built once per decode; legal[eh][et] lists the relation labels the
-    whitelist permits for that typing (null always first).  best() is the
-    exact per-pair argmax, one label at a time; values() tabulates the same
-    argmax for every pair and endpoint typing at once.
+    The walk keeps an explicit stack of one generator per depth instead of
+    recursing.  children(k, partial) decides position k of the caller's
+    labels: per candidate label it applies the label, yields the child's
+    partial objective when the child is worth entering, and undoes the
+    label when resumed.  Bounds compare against best, the incumbent's
+    objective, which the engine keeps.
+
+    A node counts on entry, the root included; past budget nodes the
+    search raises BudgetExceededError naming the search.  A leaf replaces
+    the incumbent only on strict improvement, so the result is the first
+    optimum in search order.
     """
 
     def __init__(
-        self,
-        instance: ScoredInstance,
-        constraints: ConstraintSet,
-        use_bias: bool,
+        self, labels: list[int], budget: int | None = None, name: str = ""
     ) -> None:
-        self.consistency = constraints.consistency
-        self.allowed = constraints.allowed
-        self.table = (
-            instance.bias.combined()
-            if (use_bias and instance.bias is not None)
-            else None
-        )
-        self.logits = instance.relation_logits
-        self.rows = [row.tolist() for row in instance.relation_logits]
-        self.legal = [
-            [tuple(np.flatnonzero(allowed).tolist()) for allowed in head]
-            for head in self.allowed
-        ]
+        self.labels = labels
+        self.budget = budget
+        self.name = name
+        self.best = -math.inf
 
-    def best(self, p: int, eh: int, et: int) -> tuple[int, float]:
-        """Exact best label and value for pair p given endpoint types.
+    def run(
+        self, depth: int, children: Callable[[int, float], Iterator[float]]
+    ) -> list[int] | None:
+        """A copy of labels at the best leaf, or None if no leaf was reached."""
+        found = None
+        stack: list[Iterator[float]] = []
+        partial = 0.0
+        nodes = 0
+        while True:
+            nodes += 1
+            if self.budget is not None and nodes > self.budget:
+                raise BudgetExceededError(
+                    f"{self.name} search expanded more than {self.budget} nodes"
+                )
+            if len(stack) == depth:
+                if partial > self.best:
+                    self.best = partial
+                    found = self.labels.copy()
+            else:
+                stack.append(children(len(stack), partial))
+            while stack:
+                child = next(stack[-1], None)
+                if child is not None:
+                    partial = child
+                    break
+                stack.pop()
+            else:
+                return found
 
-        A typed pair maximizes logit plus bias over its legal labels; a
-        pair with a null endpoint is forced null under the endpoint rule,
-        otherwise it takes the raw-logit argmax because the whitelist
-        only constrains typed endpoints.  Ties go to the lower label
-        index.
-        """
-        row = self.rows[p]
-        typed = eh != NULL and et != NULL
-        if not typed:
-            if self.consistency:
-                return NULL, row[NULL]
-            # untyped endpoints sit outside the whitelist's domain, so
-            # every label is open and no bias applies
-            r = int(np.argmax(row))
-            return r, row[r]
-        bias_row = self.table[eh, et] if self.table is not None else None
-        best_r, best_v = NULL, -np.inf
-        for r in self.legal[eh][et]:
-            v = row[r] + (float(bias_row[r]) if bias_row is not None else 0.0)
-            if v > best_v:
-                best_r, best_v = r, v
-        return best_r, best_v
 
-    def values(self) -> tuple[np.ndarray, np.ndarray]:
-        """best() for every pair and endpoint typing at once.
+def _pair_tables(
+    instance: ScoredInstance,
+    constraints: ConstraintSet,
+    use_bias: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's exact best label and value under every endpoint typing.
 
-        Returns (labels, values), each shaped (pairs, E, E) and indexed
-        [p, eh, et]; every cell equals best(p, eh, et), ties included.
-        """
-        rel = self.logits
-        n_pairs, n_rel = rel.shape
-        n_ent = self.allowed.shape[0]
-        bias = self.table if self.table is not None else np.zeros((n_ent, n_ent, n_rel))
-        scored = np.where(self.allowed, rel[:, None, None, :] + bias, -np.inf)
-        labels = scored.argmax(axis=3)
-        values = np.take_along_axis(scored, labels[..., None], axis=3)[..., 0]
-        untyped = (
-            np.zeros(n_pairs, dtype=np.intp) if self.consistency else rel.argmax(axis=1)
-        )
-        for grid, fill in ((labels, untyped), (values, rel[np.arange(n_pairs), untyped])):
-            grid[:, NULL, :] = fill[:, None]
-            grid[:, :, NULL] = fill[:, None]
-        return labels, values
+    Returns (labels, values), each shaped (pairs, E, E) and indexed
+    [p, eh, et].  A typed pair maximizes logit plus bias over the labels
+    the whitelist permits, ties to the lower label index.  A pair with a
+    null endpoint is forced null under the endpoint rule; otherwise it
+    takes its raw-logit argmax, because the whitelist and the bias apply
+    only between typed endpoints.
+    """
+    rel = instance.relation_logits
+    n_pairs = rel.shape[0]
+    table = _applied_bias(instance, use_bias)
+    scored = np.where(
+        constraints.allowed,
+        rel[:, None, None, :] + (table if table is not None else 0.0),
+        -np.inf,
+    )
+    labels = scored.argmax(axis=3)
+    values = np.take_along_axis(scored, labels[..., None], axis=3)[..., 0]
+    untyped = (
+        np.zeros(n_pairs, dtype=np.intp) if constraints.consistency else rel.argmax(axis=1)
+    )
+    for grid, fill in ((labels, untyped), (values, rel[np.arange(n_pairs), untyped])):
+        grid[:, NULL, :] = fill[:, None]
+        grid[:, :, NULL] = fill[:, None]
+    return labels, values
 
 
 def _label_orders(logits: np.ndarray) -> list[list[int]]:
@@ -612,7 +631,7 @@ def _joint_search(
     ent = instance.entity_logits
     n_ent = ent.shape[1]
     pairs = instance.pairs
-    label_table, value_table = _RelationResolver(instance, constraints, use_bias).values()
+    label_table, value_table = _pair_tables(instance, constraints, use_bias)
     label_of, value_of = label_table.tolist(), value_table.tolist()
 
     spread = ent.max(axis=1) - ent.min(axis=1)
@@ -654,10 +673,7 @@ def _joint_search(
     blocked = np.zeros(s, dtype=np.intp)
 
     labels = [NULL] * s
-    rels = [NULL] * len(pairs)
-    best_score = -np.inf
-    best: DecodedStructure | None = None
-    nodes = 0
+    search = _BranchAndBound(labels, budget, "joint")
 
     def promising(k: int, partial: float) -> bool:
         """Whether depth k onward may still beat the incumbent strictly.
@@ -670,16 +686,16 @@ def _joint_search(
         sums never prunes.
         """
         if k == s:
-            return not partial <= best_score
+            return not partial <= search.best
         rest = rows[k:]
         if not check_overlap or n_ent == 1:
-            return not partial + float(rest.max(axis=1).sum()) <= best_score
+            return not partial + float(rest.max(axis=1).sum()) <= search.best
         base = partial + float(rest[:, NULL].sum())
         gains = rest[:, 1:].max(axis=1) - rest[:, NULL]
         gains[blocked[k:] > 0] = 0.0
         np.maximum(gains, 0.0, out=gains)
         total = float(gains.sum())
-        if base + total <= best_score:
+        if base + total <= search.best:
             return False
         if total != total:  # an overflowed row; nothing to bound with
             return True
@@ -689,20 +705,9 @@ def _joint_search(
         for i, wi in enumerate(w):
             take = dp[back[i]] + wi
             dp[i + 1] = take if take > dp[i] else dp[i]
-        return not base + dp[-1] <= best_score
+        return not base + dp[-1] <= search.best
 
-    def dfs(k: int, partial: float) -> None:
-        nonlocal best_score, best, nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(
-                f"joint search expanded more than {budget} nodes"
-            )
-        if k == s:
-            if partial > best_score:
-                best_score = partial
-                best = DecodedStructure(tuple(labels), tuple(rels), partial)
-            return
+    def children(k: int, partial: float) -> Iterator[float]:
         sp = span_order[k]
         update = updates[k]
         typed_ok = not blocked[k]
@@ -713,9 +718,7 @@ def _joint_search(
             gained = float(ent[sp, e])
             for p in pairs_by_depth[k]:
                 h, t = pairs[p]
-                eh, et = labels[h], labels[t]
-                rels[p] = label_of[p][eh][et]
-                gained += value_of[p][eh][et]
+                gained += value_of[p][labels[h]][labels[t]]
             new_partial = partial + gained
             if update is not None:
                 later, shift = update
@@ -725,16 +728,17 @@ def _joint_search(
             if blocks:
                 blocked[overlapping_later[k]] += 1
             if promising(k + 1, new_partial):
-                dfs(k + 1, new_partial)
+                yield new_partial
             if blocks:
                 blocked[overlapping_later[k]] -= 1
             if update is not None:
                 rows[later] = saved
         labels[sp] = NULL
 
-    dfs(0, 0.0)
-    assert best is not None
-    return best
+    found = search.run(s, children)
+    assert found is not None
+    rels = tuple(label_of[p][found[h]][found[t]] for p, (h, t) in enumerate(pairs))
+    return DecodedStructure(tuple(found), rels, search.best)
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +753,9 @@ def _typing_exists(
     """Whether one assignment of non-null types to the involved spans
     satisfies every (head, tail, relation) in cons simultaneously.
 
-    Forward-checking search: domains pruned per relation arc, spans
-    assigned smallest-domain first.
+    Forward checking prunes domains per relation arc, then the engine
+    assigns spans smallest-domain first.  Every score is 0, so the bound
+    of 0 stops the search at the first leaf.
     """
     involved = sorted({v for h, t, _ in cons for v in (h, t)})
     if not involved:
@@ -770,25 +775,22 @@ def _typing_exists(
         if not domains[h] or not domains[t]:
             return False
     order = sorted(involved, key=lambda i: (len(domains[i]), i))
+    depth_of = {sp: k for k, sp in enumerate(order)}
+    arcs: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    for h, t, r in cons:
+        arcs[max(depth_of[h], depth_of[t])].append((depth_of[h], depth_of[t], r))
+    types = [NULL] * len(order)  # by depth
+    search = _BranchAndBound(types)
 
-    def assign(idx: int, current: dict[int, int]) -> bool:
-        if idx == len(order):
-            return True
-        span = order[idx]
-        for e in sorted(domains[span]):
-            current[span] = e
-            ok = True
-            for h, t, r in cons:
-                if h in current and t in current:
-                    if not constraints.allows(current[h], current[t], r):
-                        ok = False
-                        break
-            if ok and assign(idx + 1, current):
-                return True
-            del current[span]
-        return False
+    def children(k: int, partial: float) -> Iterator[float]:
+        for e in sorted(domains[order[k]]):
+            types[k] = e
+            if 0.0 > search.best and all(
+                constraints.allows(types[a], types[b], r) for a, b, r in arcs[k]
+            ):
+                yield 0.0
 
-    return assign(0, {})
+    return search.run(len(order), children) is not None
 
 
 def relation_first_decode(
@@ -806,18 +808,19 @@ def relation_first_decode(
     non-overlap the involved endpoint spans must be pairwise disjoint.
     Stage 2 maximizes the sum of entity logits with the endpoints of
     chosen relations forced non-null and jointly whitelist-consistent,
-    all other spans free.  The reported score is the full objective of
-    the final structure, bias included when in use.
+    all other spans free.  Each stage gets the full budget.  The reported
+    score is the full objective of the final structure, bias included
+    when in use.
     """
     n_pairs = len(instance.pairs)
     n_ent = len(instance.inventory.entity_types)
     rel = instance.relation_logits
-    require_typing = constraints.consistency
+    pairs, spans = instance.pairs, instance.spans
 
     best_rels: list[int]
     if n_pairs == 0:
         best_rels = []
-    elif not require_typing:
+    elif not constraints.consistency:
         best_rels = [int(np.argmax(rel[p])) for p in range(n_pairs)]
     else:
         gains = rel.max(axis=1) - rel[:, NULL]
@@ -826,58 +829,38 @@ def relation_first_decode(
         suffix_ub = [0.0] * (n_pairs + 1)
         for k in range(n_pairs - 1, -1, -1):
             suffix_ub[k] = suffix_ub[k + 1] + float(rel[pair_order[k]].max())
-
-        best_rel_score = -np.inf
-        found: list[int] | None = None
-        chosen: dict[int, int] = {}
         rels = [NULL] * n_pairs
-        nodes = 0
+        chosen: list[tuple[int, int, int]] = []  # (head, tail, label) of non-null rels
+        search = _BranchAndBound(rels, budget, "relation")
 
-        def endpoints_disjoint(p: int) -> bool:
-            h, t = instance.pairs[p]
-            if spans_overlap(instance.spans[h], instance.spans[t]):
-                return False
-            involved = {v for q in chosen for v in instance.pairs[q]}
-            for v in (h, t):
-                for o in involved:
-                    if o != v and spans_overlap(instance.spans[v], instance.spans[o]):
-                        return False
-            return True
+        def feasible(h: int, t: int, r: int) -> bool:
+            """Whether the chosen relations stay satisfiable with r on (h, t)."""
+            if constraints.non_overlap:
+                if spans_overlap(spans[h], spans[t]):
+                    return False
+                involved = {v for a, b, _ in chosen for v in (a, b)}
+                for v in (h, t):
+                    for o in involved:
+                        if o != v and spans_overlap(spans[v], spans[o]):
+                            return False
+            return _typing_exists([*chosen, (h, t, r)], n_ent, constraints)
 
-        def dfs1(k: int, partial: float) -> None:
-            nonlocal best_rel_score, found, nodes
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(
-                    f"relation search expanded more than {budget} nodes"
-                )
-            if k == n_pairs:
-                if partial > best_rel_score:
-                    best_rel_score = partial
-                    found = rels.copy()
-                return
-            if partial + suffix_ub[k] <= best_rel_score:
+        def children(k: int, partial: float) -> Iterator[float]:
+            if partial + suffix_ub[k] <= search.best:
                 return
             p = pair_order[k]
+            h, t = pairs[p]
             for r in label_orders[p]:
                 if r == NULL:
-                    rels[p] = NULL
-                    dfs1(k + 1, partial + float(rel[p, NULL]))
-                    continue
-                if constraints.non_overlap and not endpoints_disjoint(p):
-                    continue
-                chosen[p] = r
-                cons = [
-                    (instance.pairs[q][0], instance.pairs[q][1], label)
-                    for q, label in chosen.items()
-                ]
-                if _typing_exists(cons, n_ent, constraints):
+                    yield partial + float(rel[p, NULL])
+                elif feasible(h, t, r):
                     rels[p] = r
-                    dfs1(k + 1, partial + float(rel[p, r]))
+                    chosen.append((h, t, r))
+                    yield partial + float(rel[p, r])
+                    chosen.pop()
                     rels[p] = NULL
-                del chosen[p]
 
-        dfs1(0, 0.0)
+        found = search.run(n_pairs, children)
         assert found is not None
         best_rels = found
 
@@ -935,349 +918,26 @@ def _entities_given_relations(
         suffix[k] = suffix[k + 1] + max(float(ent[sp, e]) for e in label_orders[sp])
 
     labels = [NULL] * s
-    best_score = -np.inf
-    best_labels: list[int] | None = None
-    nodes = 0
+    search = _BranchAndBound(labels, budget, "entity")
 
-    def dfs(k: int, partial: float) -> None:
-        nonlocal best_score, best_labels, nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(
-                f"entity search expanded more than {budget} nodes"
-            )
-        if k == s:
-            if partial > best_score:
-                best_score = partial
-                best_labels = labels.copy()
-            return
+    def children(k: int, partial: float) -> Iterator[float]:
         sp = span_order[k]
         for e in label_orders[sp]:
             if e != NULL and constraints.non_overlap:
                 if any(labels[o] != NULL for o in conflicts[k]):
                     continue
             labels[sp] = e
-            ok = True
-            for h, t, r in cons_by_depth[k]:
-                if not constraints.allows(labels[h], labels[t], r):
-                    ok = False
-                    break
-            if ok and partial + float(ent[sp, e]) + suffix[k + 1] > best_score:
-                dfs(k + 1, partial + float(ent[sp, e]))
+            child = partial + float(ent[sp, e])
+            if all(
+                constraints.allows(labels[h], labels[t], r) for h, t, r in cons_by_depth[k]
+            ) and child + suffix[k + 1] > search.best:
+                yield child
         labels[sp] = NULL
 
-    dfs(0, 0.0)
-    if best_labels is None:
+    found = search.run(s, children)
+    if found is None:
         raise RuntimeError("fixed relations admit no entity labeling")
-    return best_labels
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles (tiny inputs only)
-
-
-def oracle_subset_max(
-    candidates: Sequence[tuple[int, int, float]]
-) -> tuple[float, tuple[int, ...]]:
-    """Best non-overlapping subset by full 2**n sweep; n capped at 20.
-
-    Returns (total, indices); on ties the smallest subset bitmask wins,
-    so the empty set beats any zero-weight selection.
-    """
-    n = len(candidates)
-    if n == 0:
-        return 0.0, ()
-    if n > 20:
-        raise ValueError("subset sweep limited to 20 intervals")
-    w = np.array([c[2] for c in candidates], dtype=np.float64)
-    subsets = np.arange(1 << n, dtype=np.int64)
-    bits = ((subsets[:, None] >> np.arange(n)) & 1).astype(bool)
-    totals = bits @ w
-    feasible = np.ones(1 << n, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if spans_overlap(candidates[i][:2], candidates[j][:2]):
-                feasible &= ((subsets >> i) & (subsets >> j) & 1) == 0
-    totals = np.where(feasible, totals, -np.inf)
-    best = int(np.argmax(totals))
-    chosen = tuple(i for i in range(n) if (best >> i) & 1)
-    return float(totals[best]), chosen
-
-
-def oracle_joint(
-    instance: ScoredInstance,
-    constraints: ConstraintSet,
-    use_bias: bool = True,
-) -> DecodedStructure:
-    """Exhaustive joint maximum over entity labelings.
-
-    Enumerates full entity labelings in exactly the search order of
-    joint_decode (per-pair relations resolved by the same exact argmax)
-    with strict improvement, so tie outcomes match the solver leaf for
-    leaf.  Cost |entity types| ** |spans|.
-    """
-    s = len(instance.spans)
-    ent = instance.entity_logits
-    resolver = _RelationResolver(instance, constraints, use_bias)
-    spread = ent.max(axis=1) - ent.min(axis=1)
-    span_order = sorted(range(s), key=lambda i: (-spread[i], i))
-    label_order = _label_orders(ent)
-    spans = instance.spans
-    pairs = instance.pairs
-
-    best_score = -np.inf
-    best: DecodedStructure | None = None
-    for combo in itertools.product(*(label_order[i] for i in span_order)):
-        labels = [NULL] * s
-        for k, sp in enumerate(span_order):
-            labels[sp] = combo[k]
-        if constraints.non_overlap:
-            live = [i for i in range(s) if labels[i] != NULL]
-            if any(
-                spans_overlap(spans[a], spans[b])
-                for a, b in itertools.combinations(live, 2)
-            ):
-                continue
-        total = sum(float(ent[i, labels[i]]) for i in range(s))
-        rels = [NULL] * len(pairs)
-        for p, (h, t) in enumerate(pairs):
-            r, v = resolver.best(p, labels[h], labels[t])
-            rels[p] = r
-            total += v
-        if total > best_score:
-            best_score = total
-            best = DecodedStructure(tuple(labels), tuple(rels), total)
-    assert best is not None
-    return best
-
-
-def oracle_joint_full(
-    instance: ScoredInstance,
-    constraints: ConstraintSet,
-    use_bias: bool = True,
-) -> float:
-    """Best feasible score over the full cartesian label space.
-
-    Enumerates entity AND relation labels outright, scoring with
-    structure_score and filtering with check_constraints only; shares no
-    search machinery with the solvers.  Exponential in both grids, so
-    micro inputs only.
-    """
-    n_ent = instance.entity_logits.shape[1]
-    n_rel = instance.relation_logits.shape[1]
-    best = -np.inf
-    for ents in itertools.product(range(n_ent), repeat=len(instance.spans)):
-        for rels in itertools.product(range(n_rel), repeat=len(instance.pairs)):
-            st = DecodedStructure(tuple(ents), tuple(rels), 0.0)
-            if check_constraints(st, constraints, instance):
-                continue
-            score = structure_score(instance, ents, rels, use_bias)
-            if score > best:
-                best = score
-    return float(best)
-
-
-def oracle_entity_first(
-    instance: ScoredInstance,
-    constraints: ConstraintSet,
-    use_bias: bool = True,
-) -> DecodedStructure:
-    """Entity-first pipeline with the DP replaced by the subset sweep.
-
-    Steps 1 and 3 mirror entity_first_decode; step 2 picks the best
-    disjoint subset by enumeration, so totals must match the DP exactly
-    (structures too, whenever the optimum is unique).
-    """
-    ents = [NULL] * len(instance.spans)
-    survivors = []
-    for i, row in enumerate(instance.entity_logits):
-        e = int(np.argmax(row))
-        if e != NULL:
-            survivors.append((i, e, float(row[e])))
-    if constraints.non_overlap:
-        pool = [
-            (instance.spans[i][0], instance.spans[i][1], w) for i, _, w in survivors
-        ]
-        _, chosen = oracle_subset_max(pool)
-        for k in chosen:
-            i, e, _ = survivors[k]
-            ents[i] = e
-    else:
-        for i, e, _ in survivors:
-            ents[i] = e
-    rels = [NULL] * len(instance.pairs)
-    table = (
-        instance.bias.combined() if (use_bias and instance.bias is not None) else None
-    )
-    for p, (h, t) in enumerate(instance.pairs):
-        eh, et = ents[h], ents[t]
-        if eh == NULL or et == NULL:
-            if not constraints.consistency:
-                rels[p] = int(np.argmax(instance.relation_logits[p]))
-            continue
-        scores = [
-            float(instance.relation_logits[p, r])
-            + (float(table[eh, et, r]) if table is not None else 0.0)
-            if (r == NULL or constraints.allows(eh, et, r))
-            else NEG_SENTINEL
-            for r in range(instance.relation_logits.shape[1])
-        ]
-        rels[p] = int(np.argmax(scores))
-    ents_t, rels_t = tuple(ents), tuple(rels)
-    return DecodedStructure(
-        ents_t, rels_t, structure_score(instance, ents_t, rels_t, use_bias)
-    )
-
-
-def oracle_relation_first(
-    instance: ScoredInstance,
-    constraints: ConstraintSet,
-    use_bias: bool = True,
-) -> DecodedStructure:
-    """Exhaustive two-stage maximum mirroring relation_first_decode.
-
-    Stage 1 enumerates relation labelings in the solver's branch order,
-    discarding prefixes whose chosen relations are jointly infeasible
-    (feasibility of a labeling is monotone: dropping relations never
-    breaks it, so prefix pruning discards no feasible completion).
-    Typing existence is tested by plain enumeration over the involved
-    spans' typings, independent of the solver's search.  Stage 2
-    enumerates entity labelings outright.
-    """
-    n_pairs = len(instance.pairs)
-    n_ent = instance.entity_logits.shape[1]
-    rel = instance.relation_logits
-    spans = instance.spans
-
-    def typings(involved: Sequence[int]):
-        return itertools.product(range(1, n_ent), repeat=len(involved))
-
-    def prefix_feasible(chosen: dict[int, int]) -> bool:
-        cons = [
-            (instance.pairs[p][0], instance.pairs[p][1], r) for p, r in chosen.items()
-        ]
-        involved = sorted({v for h, t, _ in cons for v in (h, t)})
-        if constraints.non_overlap:
-            for a, b in itertools.combinations(involved, 2):
-                if spans_overlap(spans[a], spans[b]):
-                    return False
-        if not involved:
-            return True
-        if n_ent < 2:
-            return False
-        for typing in typings(involved):
-            at = dict(zip(involved, typing))
-            if all(constraints.allows(at[h], at[t], r) for h, t, r in cons):
-                return True
-        return False
-
-    best_rels: list[int]
-    if n_pairs == 0:
-        best_rels = []
-    elif not constraints.consistency:
-        best_rels = [int(np.argmax(rel[p])) for p in range(n_pairs)]
-    else:
-        gains = rel.max(axis=1) - rel[:, NULL]
-        pair_order = sorted(range(n_pairs), key=lambda p: (-gains[p], p))
-        label_orders = _label_orders(rel)
-        best_score = -np.inf
-        found: list[int] | None = None
-        rels = [NULL] * n_pairs
-        chosen: dict[int, int] = {}
-
-        def walk(k: int, partial: float) -> None:
-            nonlocal best_score, found
-            if k == n_pairs:
-                if partial > best_score:
-                    best_score = partial
-                    found = rels.copy()
-                return
-            p = pair_order[k]
-            for r in label_orders[p]:
-                if r == NULL:
-                    rels[p] = NULL
-                    walk(k + 1, partial + float(rel[p, NULL]))
-                    continue
-                chosen[p] = r
-                if prefix_feasible(chosen):
-                    rels[p] = r
-                    walk(k + 1, partial + float(rel[p, r]))
-                    rels[p] = NULL
-                del chosen[p]
-
-        walk(0, 0.0)
-        assert found is not None
-        best_rels = found
-
-    forced = (
-        [
-            (instance.pairs[p][0], instance.pairs[p][1], r)
-            for p, r in enumerate(best_rels)
-            if r != NULL
-        ]
-        if constraints.consistency
-        else []
-    )
-    forced_spans = {v for h, t, _ in forced for v in (h, t)}
-    s = len(instance.spans)
-    ent = instance.entity_logits
-    spread = ent.max(axis=1) - ent.min(axis=1)
-    span_order = sorted(range(s), key=lambda i: (i not in forced_spans, -spread[i], i))
-    ent_orders = []
-    for i in range(s):
-        opts = range(1, n_ent) if i in forced_spans else range(n_ent)
-        ent_orders.append(sorted(opts, key=lambda e: (-ent[i, e], e)))
-    best_ent_score = -np.inf
-    best_ents: tuple[int, ...] | None = None
-    for combo in itertools.product(*(ent_orders[i] for i in span_order)):
-        labels = [NULL] * s
-        for k, sp in enumerate(span_order):
-            labels[sp] = combo[k]
-        if constraints.non_overlap:
-            live = [i for i in range(s) if labels[i] != NULL]
-            if any(
-                spans_overlap(spans[a], spans[b])
-                for a, b in itertools.combinations(live, 2)
-            ):
-                continue
-        if any(not constraints.allows(labels[h], labels[t], r) for h, t, r in forced):
-            continue
-        score = sum(float(ent[i, labels[i]]) for i in range(s))
-        if score > best_ent_score:
-            best_ent_score = score
-            best_ents = tuple(labels)
-    assert best_ents is not None
-    return DecodedStructure(
-        best_ents,
-        tuple(best_rels),
-        structure_score(instance, best_ents, best_rels, use_bias),
-    )
-
-
-def brute_force_oracle(
-    instance: ScoredInstance,
-    constraints: ConstraintSet,
-    mode: str,
-    use_bias: bool = True,
-    cap: int = 6,
-) -> DecodedStructure:
-    """Dispatch to the enumeration oracle for one algorithm.
-
-    Refuses instances with more than cap span or relation candidates;
-    these enumerations are exponential and exist only for verification.
-    """
-    if mode not in ("joint", "entity_first", "relation_first"):
-        raise ValueError(f"no oracle for mode {mode!r}")
-    if len(instance.spans) > cap or len(instance.pairs) > cap:
-        raise ValueError(
-            f"oracle capped at {cap} candidates; got "
-            f"{len(instance.spans)} spans, {len(instance.pairs)} pairs"
-        )
-    if mode == "joint":
-        return oracle_joint(instance, constraints, use_bias)
-    if mode == "entity_first":
-        return oracle_entity_first(instance, constraints, use_bias)
-    return oracle_relation_first(instance, constraints, use_bias)
+    return found
 
 
 def decode(
@@ -1321,7 +981,6 @@ __all__ = [
     "DecodedStructure",
     "ScoredInstance",
     "Violation",
-    "brute_force_oracle",
     "check_constraints",
     "constraints_from_doc",
     "decode",
@@ -1329,11 +988,6 @@ __all__ = [
     "joint_decode",
     "load_constraints",
     "max_weight_nonoverlap",
-    "oracle_entity_first",
-    "oracle_joint",
-    "oracle_joint_full",
-    "oracle_relation_first",
-    "oracle_subset_max",
     "relation_first_decode",
     "spans_overlap",
     "structure_score",

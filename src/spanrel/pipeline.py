@@ -61,7 +61,6 @@ class RunConfig:
     seed: int = 0
     budget: int | None = None
     use_bias: bool = True
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithm", normalize_algorithm(self.algorithm))
@@ -75,8 +74,6 @@ class RunConfig:
             raise ValueError("margin must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
 
     def with_overrides(self, **kwargs) -> RunConfig:
         return replace(self, **kwargs)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -315,6 +315,7 @@ class BiasTable:
     joint has shape (E, E, R); head_relation and tail_relation (E, R);
     head_tail (E, E).  Entries are finite except deliberately injected
     NEG_SENTINEL values that make forbidden triples unwinnable in an argmax.
+    The table keeps read-only float64 copies of its inputs.
     """
 
     joint: np.ndarray
@@ -324,7 +325,9 @@ class BiasTable:
 
     def __post_init__(self):
         for name in ("joint", "head_relation", "tail_relation", "head_tail"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            table = np.array(getattr(self, name), dtype=np.float64)
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
         e, e2, r = self.joint.shape
         if e != e2:
             raise ValueError("joint table must be square in the entity axes")
@@ -342,13 +345,19 @@ class BiasTable:
         return self.joint.shape[2]
 
     def combined(self) -> np.ndarray:
-        """Dense (E, E, R) tensor of b(h, t, r) sums."""
-        return (
+        """Dense read-only (E, E, R) tensor of b(h, t, r) sums, built once."""
+        return self._combined
+
+    @cached_property
+    def _combined(self) -> np.ndarray:
+        out = (
             self.joint
             + self.head_relation[:, None, :]
             + self.tail_relation[None, :, :]
             + self.head_tail[:, :, None]
         )
+        out.flags.writeable = False
+        return out
 
     @staticmethod
     def zeros(num_entity_types: int, num_relation_types: int) -> "BiasTable":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -15,25 +16,30 @@ from spanrel import (
     ScoredInstance,
     TypeInventory,
     Violation,
-    brute_force_oracle,
     check_constraints,
     decode,
     entity_first_decode,
+    forward,
+    init_params,
     joint_decode,
     load_constraint_set,
     make_rng,
     max_weight_nonoverlap,
+    relation_first_decode,
+    structure_score,
+    synthetic_instances,
+    unconstrained_constraints,
+    unconstrained_decode,
+)
+from spanrel.decode import spans_overlap
+
+from oracles import (
     oracle_entity_first,
     oracle_joint,
     oracle_joint_full,
     oracle_relation_first,
     oracle_subset_max,
-    relation_first_decode,
-    structure_score,
-    unconstrained_constraints,
-    unconstrained_decode,
 )
-from spanrel.decode import spans_overlap
 
 from conftest import (
     make_inventory,
@@ -411,6 +417,79 @@ def test_joint_empty_instance():
 
 
 # ---------------------------------------------------------------------------
+# the shared search engine: depth and node accounting
+
+
+@pytest.mark.parametrize("algorithm", ["joint", "relation_first"])
+def test_exact_decoders_search_deeper_than_the_recursion_limit(algorithm):
+    """1,100 single-token disjoint spans, three entity types and one pair:
+    one search level per span, past Python's default recursion limit."""
+    n = 1100
+    inv = make_inventory(3, 2)
+    rng = make_rng(21)
+    inst = ScoredInstance(
+        n,
+        tuple((i, i) for i in range(n)),
+        rng.normal(0.0, 1.0, (n, inv.num_entity_types)),
+        ((0, 1),),
+        rng.normal(0.0, 1.0, (1, inv.num_relation_types)),
+        inv,
+    )
+    cons = permissive(inv)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        st = decode(inst, algorithm, cons)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(st.entity_labels) == n
+    assert check_constraints(st, cons, inst) == []
+    assert st.score >= decode(inst, "entity_first", cons).score - 1e-9
+
+
+# Node counts of the exact searches on fixed inputs: each decode succeeds
+# with budget n and raises with budget n - 1.  relation_first gives each of
+# its two stages the full budget, so its n is the larger stage's count.
+# A change in search order, bounds or node accounting moves these numbers.
+PINNED_NODES = (
+    # (source, instance index or sentence length, joint n, relation_first n)
+    ("synthetic", 0, 78, 741),
+    ("synthetic", 8, 140, 4705),
+    ("synthetic", 11, 91, 590),
+    ("pipeline", 18, 120, 24),
+    ("pipeline", 24, 293, 1213),
+    ("pipeline", 28, 360, 18061),
+)
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs():
+    cons = load_constraint_set("conll04")
+    synthetic = synthetic_instances(12, 20, 0, cons)
+    params = init_params(cons.inventory, dim=32, heads=2, max_span_width=8, seed=0)
+
+    def instance(source: str, which: int) -> ScoredInstance:
+        if source == "synthetic":
+            return synthetic[which]
+        tokens = [f"w{j}" for j in make_rng(which).integers(0, 40, which)]
+        return forward(tokens, params).instance
+
+    return cons, instance
+
+
+@pytest.mark.parametrize("source, which, joint_nodes, relation_first_nodes", PINNED_NODES)
+def test_exact_search_node_counts_are_pinned(
+    pinned_inputs, source, which, joint_nodes, relation_first_nodes
+):
+    cons, instance = pinned_inputs
+    inst = instance(source, which)
+    for algorithm, n in (("joint", joint_nodes), ("relation_first", relation_first_nodes)):
+        decode(inst, algorithm, cons, budget=n)
+        with pytest.raises(BudgetExceededError):
+            decode(inst, algorithm, cons, budget=n - 1)
+
+
+# ---------------------------------------------------------------------------
 # relation-first
 
 
@@ -589,23 +668,6 @@ def test_decode_dispatch():
     # default constraints permit everything
     free = decode(inst, "joint")
     assert free.score >= decode(inst, "joint", cons).score - 1e-9
-
-
-def test_brute_force_oracle_dispatch_and_cap():
-    rng = make_rng(15)
-    inst = random_instance(rng, n_spans=3, n_pairs=3)
-    cons = random_constraints(rng, inst.inventory, consistency=True)
-    for mode in ("joint", "entity_first", "relation_first"):
-        st = brute_force_oracle(inst, cons, mode)
-        assert isinstance(st, DecodedStructure)
-        assert check_constraints(st, cons, inst) == []
-    with pytest.raises(ValueError):
-        brute_force_oracle(inst, cons, "unconstrained")
-    big = random_instance(rng, length=10, n_spans=8, n_pairs=4)
-    with pytest.raises(ValueError):
-        brute_force_oracle(big, permissive(big.inventory), "joint")
-    # a raised cap admits the larger instance
-    brute_force_oracle(big, permissive(big.inventory), "joint", cap=8)
 
 
 def test_bundled_constraints_block_forbidden_triples():
