@@ -40,8 +40,13 @@ def synthetic_instances(
     Span count is drawn per sentence from spans_per_sentence; spans are
     distinct, width-capped, sorted by position.  Logits are normal with
     a mild tilt toward the null column, keeping decoded structures
-    sparse the way trained models are.
+    sparse the way trained models are.  Raises ValueError when length
+    admits fewer distinct spans than a sentence may draw.
     """
+    lo, hi = spans_per_sentence
+    width = min(max_width, length)
+    if hi > width * length - width * (width - 1) // 2:  # distinct spans
+        raise ValueError(f"length {length} admits fewer than {hi} spans of width <= {max_width}")
     rng = make_rng(seed)
     inv = constraints.inventory
     n_ent = inv.num_entity_types
@@ -52,7 +57,6 @@ def synthetic_instances(
         tail_relation=rng.normal(0.0, 0.2, (n_ent, n_rel)),
         head_tail=rng.normal(0.0, 0.2, (n_ent, n_ent)),
     )
-    lo, hi = spans_per_sentence
     out = []
     for _ in range(count):
         want = int(rng.integers(lo, hi + 1))

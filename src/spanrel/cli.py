@@ -171,6 +171,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    for flag in ("count", "length", "budget"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise FormatError(f"--{flag} must be positive, got {value}")
     constraints = load_constraint_set(args.constraints)
     instances = bench_mod.synthetic_instances(
         count=args.count,

@@ -8,27 +8,25 @@ Four algorithms, all deterministic:
   each relation by argmax over logits plus bias, with whitelist-forbidden
   cells masked to a large negative sentinel.
 * ``joint``: exact maximizer of the full additive objective over all
-  entity and relation labels subject to every active constraint, found by
-  depth-first branch and bound over span labels.  Its bound follows the
-  search: pair values are conditioned on the endpoint types already
-  decided, and under non-overlap the undecided spans' gains over null are
-  bounded by an exact weighted-interval-scheduling pass.
+  entity and relation labels subject to every active constraint.
 * ``relation_first``: exact relation labeling first (restricted to
   labelings that admit at least one consistent entity typing), then exact
   entity labeling under the forcing imposed by those relations.
 
-Every exact search (joint, both relation-first stages, and the typing
-check inside stage 1) runs on one branch-and-bound engine,
-``_BranchAndBound``.  It walks a fixed number of decisions depth first
-with an explicit stack of generators, so no search is limited by
-Python's recursion depth.  The engine owns the node count and budget,
-the incumbent and the leaf snapshot; each search supplies only how to
-label one position and when a child is worth entering.
+Both exact decoders are runs of one typing search, ``_typing_search``:
+depth-first branch and bound over span labels, for an entity score grid
+and a table of pair values under every endpoint typing, with a bound that
+follows the search.  Joint runs it once; each relation-first stage is one
+run with its own scores and pair values.  It runs on ``_BranchAndBound``,
+which keeps an explicit stack of generators, so no search is limited by
+Python's recursion depth, and owns the node count and budget, the
+incumbent and the leaf snapshot.
 
 Tie rules are fixed throughout: argmax ties go to the lower type index,
-the interval DP prefers excluding the later-sorted interval, and the
-branch-and-bound searches explore labels in descending-logit order and
-replace the incumbent only on strict improvement, which makes "first
+the interval DP prefers excluding the later-sorted interval, and every
+search tries labels in a fixed order per span (descending logit, except
+relation-first's stage 1, which tries typed labels before null) and
+replaces the incumbent only on strict improvement, which makes "first
 optimum in search order" well defined.  A bound only decides which
 subtrees are skipped, never the order of the rest, so a tighter bound
 returns the same structure with fewer nodes.
@@ -544,24 +542,6 @@ def _label_orders(logits: np.ndarray) -> list[list[int]]:
     ]
 
 
-def _conflict_lists(
-    spans: Sequence[tuple[int, int]], span_order: Sequence[int]
-) -> list[list[int]]:
-    """For each search depth, the original indices of earlier-decided
-    spans that overlap the span decided at that depth."""
-    pos = {sp: k for k, sp in enumerate(span_order)}
-    out: list[list[int]] = []
-    for k, sp in enumerate(span_order):
-        out.append(
-            [o for o in range(len(spans)) if pos[o] < k and spans_overlap(spans[sp], spans[o])]
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# joint
-
-
 def _interval_tables(
     spans: Sequence[tuple[int, int]],
 ) -> tuple[list[np.ndarray], list[list[int]]]:
@@ -581,24 +561,31 @@ def _interval_tables(
     return items, pred
 
 
-def joint_decode(
-    instance: ScoredInstance,
-    constraints: ConstraintSet,
-    use_bias: bool = True,
-    budget: int | None = None,
-) -> DecodedStructure:
-    """Exact joint maximum via branch and bound over entity labelings.
+# Sums past the float64 range stay silent here: decode() rejects an
+# objective that is not finite, and an overflowed bound only prunes less.
+@np.errstate(over="ignore", invalid="ignore")
+def _typing_search(
+    spans: Sequence[tuple[int, int]],
+    pairs: Sequence[tuple[int, int]],
+    scores: np.ndarray,
+    values: np.ndarray,
+    span_order: Sequence[int],
+    label_order: Sequence[Sequence[int]],
+    non_overlap: bool,
+    budget: int | None,
+    name: str,
+) -> tuple[list[int], float]:
+    """The best entity typing by branch and bound, and its objective.
 
-    Relations decouple once entity types are fixed: constraints tie each
-    relation only to its own endpoints, and the objective is additive, so
-    each pair resolves by an independent exact argmax, read from a table
-    of every pair under every endpoint typing, the moment both endpoints
-    are decided.  The search therefore branches only on span labels,
-    ordered by descending logit spread, trying labels in descending-logit
-    order.
+    A typing e scores sum_i scores[i, e_i] + sum_p values[p, e_h, e_t]
+    over pairs p = (h, t); under non_overlap its typed spans must be
+    pairwise disjoint.  Spans are decided in span_order, each trying the
+    labels of label_order[span] in turn (a label left out is never
+    taken), and a pair counts once both endpoints are decided.  A value
+    of -inf forbids that endpoint typing.
 
     The bound is admissible and follows the search.  Each undecided span
-    j has a row T[j, e]: its logit for type e plus, for every pair whose
+    j has a row T[j, e]: its score for type e plus, for every pair whose
     later endpoint is j, the pair's value given the other endpoint's
     decided type, or its maximum over that endpoint's types while it is
     undecided.  Without non-overlap the bound is the sum of the row
@@ -609,53 +596,31 @@ def joint_decode(
     child is expanded only while its bound exceeds the incumbent, and the
     incumbent is replaced only on strict improvement.  A tighter bound
     only skips subtrees that cannot beat the incumbent, so the result is
-    still the first optimum in search order.  budget caps expanded nodes;
-    exceeding it raises BudgetExceededError.
+    the first optimum in search order.  budget caps expanded nodes;
+    exceeding it raises BudgetExceededError naming the search.
     """
-    if not instance.spans:
-        return DecodedStructure((), (), 0.0)
-    # Sums past the float64 range stay silent here: decode() rejects an
-    # objective that is not finite, and an overflowed bound only prunes less.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _joint_search(instance, constraints, use_bias, budget)
-
-
-def _joint_search(
-    instance: ScoredInstance,
-    constraints: ConstraintSet,
-    use_bias: bool,
-    budget: int | None,
-) -> DecodedStructure:
-    """The branch and bound behind joint_decode, on a non-empty instance."""
-    s = len(instance.spans)
-    ent = instance.entity_logits
-    n_ent = ent.shape[1]
-    pairs = instance.pairs
-    label_table, value_table = _pair_tables(instance, constraints, use_bias)
-    label_of, value_of = label_table.tolist(), value_table.tolist()
-
-    spread = ent.max(axis=1) - ent.min(axis=1)
-    span_order = sorted(range(s), key=lambda i: (-spread[i], i))
+    s = len(span_order)
+    n_ent = scores.shape[1]
+    value_of = values.tolist()
     pos_of = {sp: k for k, sp in enumerate(span_order)}
-    label_order = _label_orders(ent)
-    spans = [instance.spans[sp] for sp in span_order]  # by depth
-    check_overlap = constraints.non_overlap
+    by_depth = [spans[sp] for sp in span_order]
 
     # Bound rows by depth.  A pair counts at its later endpoint's depth,
     # maximized over the earlier endpoint's types; deciding that endpoint
     # adds, per label, the gap to the pair's value given that label.
-    rows = ent[span_order].copy()
+    rows = scores[list(span_order)]  # a copy
     pairs_by_depth: list[list[int]] = [[] for _ in range(s)]
     shifts: list[dict[int, np.ndarray]] = [{} for _ in range(s)]
     for p, (h, t) in enumerate(pairs):
         dh, dt = pos_of[h], pos_of[t]
         later, earlier = max(dh, dt), min(dh, dt)
         pairs_by_depth[later].append(p)
-        given = value_table[p] if dh < dt else value_table[p].T  # [earlier, later]
+        given = values[p] if dh < dt else values[p].T  # [earlier, later]
         cap = given.max(axis=0)
         rows[later] += cap
         shift = shifts[earlier].setdefault(later, np.zeros((n_ent, n_ent)))
-        shift += given - cap
+        # a column forbidden whatever the earlier type stays -inf in its row
+        shift += np.subtract(given, cap, out=np.zeros_like(given), where=cap > -np.inf)
     updates = [
         (np.array(list(by_row), dtype=np.intp), np.stack(list(by_row.values()), axis=1))
         if by_row else None
@@ -663,32 +628,31 @@ def _joint_search(
     ]  # per depth: (later depths, shift per label and later depth)
     overlapping_later = [
         np.array(
-            [j for j in range(k + 1, s) if spans_overlap(spans[k], spans[j])],
+            [j for j in range(k + 1, s) if spans_overlap(by_depth[k], by_depth[j])],
             dtype=np.intp,
         )
         for k in range(s)
     ]
-    items, pred = _interval_tables(spans) if check_overlap else ([], [])
+    items, pred = _interval_tables(by_depth) if non_overlap else ([], [])
     # typed decided spans overlapping each depth; stays 0 without non-overlap
     blocked = np.zeros(s, dtype=np.intp)
 
     labels = [NULL] * s
-    search = _BranchAndBound(labels, budget, "joint")
+    search = _BranchAndBound(labels, budget, name)
 
     def promising(k: int, partial: float) -> bool:
         """Whether depth k onward may still beat the incumbent strictly.
 
         The bound and the leaves add the same terms in different orders,
         so on an exact tie rounding alone decides whether a later tying
-        subtree is skipped, as it did with the static bound; either way
-        the result is within rounding of the optimum.  The tests read
-        "not bound <= incumbent" so that a NaN bound from overflowed
-        sums never prunes.
+        subtree is skipped; either way the result is within rounding of
+        the optimum.  The tests read "not bound <= incumbent" so that a
+        NaN bound from overflowed sums never prunes.
         """
         if k == s:
             return not partial <= search.best
         rest = rows[k:]
-        if not check_overlap or n_ent == 1:
+        if not non_overlap or n_ent == 1:
             return not partial + float(rest.max(axis=1).sum()) <= search.best
         base = partial + float(rest[:, NULL].sum())
         gains = rest[:, 1:].max(axis=1) - rest[:, NULL]
@@ -715,7 +679,7 @@ def _joint_search(
             if e != NULL and not typed_ok:
                 continue
             labels[sp] = e
-            gained = float(ent[sp, e])
+            gained = float(scores[sp, e])
             for p in pairs_by_depth[k]:
                 h, t = pairs[p]
                 gained += value_of[p][labels[h]][labels[t]]
@@ -724,7 +688,7 @@ def _joint_search(
                 later, shift = update
                 saved = rows[later]
                 rows[later] += shift[e]
-            blocks = check_overlap and e != NULL
+            blocks = non_overlap and e != NULL
             if blocks:
                 blocked[overlapping_later[k]] += 1
             if promising(k + 1, new_partial):
@@ -737,60 +701,76 @@ def _joint_search(
 
     found = search.run(s, children)
     assert found is not None
-    rels = tuple(label_of[p][found[h]][found[t]] for p, (h, t) in enumerate(pairs))
-    return DecodedStructure(tuple(found), rels, search.best)
+    return found, search.best
+
+
+# ---------------------------------------------------------------------------
+# joint
+
+
+def joint_decode(
+    instance: ScoredInstance,
+    constraints: ConstraintSet,
+    use_bias: bool = True,
+    budget: int | None = None,
+) -> DecodedStructure:
+    """Exact joint maximum via branch and bound over entity labelings.
+
+    Relations decouple once entity types are fixed: constraints tie each
+    relation only to its own endpoints, and the objective is additive, so
+    each pair resolves by an independent exact argmax, read from a table
+    of every pair under every endpoint typing, the moment both endpoints
+    are decided.  The typing search therefore branches only on span
+    labels, ordered by descending logit spread, trying labels in
+    descending-logit order.  budget caps expanded nodes; exceeding it
+    raises BudgetExceededError.
+    """
+    if not instance.spans:
+        return DecodedStructure((), (), 0.0)
+    ent = instance.entity_logits
+    label_table, value_table = _pair_tables(instance, constraints, use_bias)
+    spread = ent.max(axis=1) - ent.min(axis=1)
+    span_order = sorted(range(len(ent)), key=lambda i: (-spread[i], i))
+    ents, best = _typing_search(
+        instance.spans, instance.pairs, ent, value_table, span_order,
+        _label_orders(ent), constraints.non_overlap, budget, "joint",
+    )
+    rels = tuple(int(label_table[p, ents[h], ents[t]]) for p, (h, t) in enumerate(instance.pairs))
+    return DecodedStructure(tuple(ents), rels, best)
 
 
 # ---------------------------------------------------------------------------
 # relation-first
 
 
-def _typing_exists(
-    cons: Sequence[tuple[int, int, int]],
-    n_ent: int,
-    constraints: ConstraintSet,
-) -> bool:
-    """Whether one assignment of non-null types to the involved spans
-    satisfies every (head, tail, relation) in cons simultaneously.
+def _stage1_orders(
+    values: np.ndarray, pairs: Sequence[tuple[int, int]], s: int
+) -> tuple[list[int], list[list[int]]]:
+    """Span and label orders of relation-first's stage 1.
 
-    Forward checking prunes domains per relation arc, then the engine
-    assigns spans smallest-domain first.  Every score is 0, so the bound
-    of 0 stops the search at the first leaf.
+    Spans go by pair coupling, the summed value range of the pairs that
+    touch them, ties to the lower index.  Each span tries typed labels,
+    then null, leaving out a typed label when null or an earlier kept
+    label is worth at least as much in every pair touching the span,
+    whatever the other endpoint's type: with entity scores 0 such a label
+    can only tie, and a typed span also blocks overlapping ones.
     """
-    involved = sorted({v for h, t, _ in cons for v in (h, t)})
-    if not involved:
-        return True
-    if n_ent < 2:
-        return False
-    domains: dict[int, set[int]] = {i: set(range(1, n_ent)) for i in involved}
-    for h, t, r in cons:
-        domains[h] = {
-            eh for eh in domains[h]
-            if any(constraints.allows(eh, et, r) for et in range(1, n_ent))
-        }
-        domains[t] = {
-            et for et in domains[t]
-            if any(constraints.allows(eh, et, r) for eh in range(1, n_ent))
-        }
-        if not domains[h] or not domains[t]:
-            return False
-    order = sorted(involved, key=lambda i: (len(domains[i]), i))
-    depth_of = {sp: k for k, sp in enumerate(order)}
-    arcs: list[list[tuple[int, int, int]]] = [[] for _ in order]
-    for h, t, r in cons:
-        arcs[max(depth_of[h], depth_of[t])].append((depth_of[h], depth_of[t], r))
-    types = [NULL] * len(order)  # by depth
-    search = _BranchAndBound(types)
-
-    def children(k: int, partial: float) -> Iterator[float]:
-        for e in sorted(domains[order[k]]):
-            types[k] = e
-            if 0.0 > search.best and all(
-                constraints.allows(types[a], types[b], r) for a, b, r in arcs[k]
-            ):
-                yield 0.0
-
-    return search.run(len(order), children) is not None
+    n_ent = values.shape[1]
+    coupling = [0.0] * s
+    sides: list[list[np.ndarray]] = [[np.zeros((n_ent, 0))] for _ in range(s)]
+    for p, (h, t) in enumerate(pairs):
+        for i, worth in ((h, values[p]), (t, values[p].T)):
+            coupling[i] += worth.max() - worth.min()
+            sides[i].append(worth)
+    label_order = []
+    for cols in sides:
+        worth = np.concatenate(cols, axis=1)  # [label, pair and other type]
+        kept = [NULL]
+        for e in range(1, n_ent):
+            if not any((worth[k] >= worth[e]).all() for k in kept):
+                kept.append(e)
+        label_order.append([*kept[1:], NULL])
+    return sorted(range(s), key=lambda i: (-coupling[i], i)), label_order
 
 
 def relation_first_decode(
@@ -801,143 +781,58 @@ def relation_first_decode(
 ) -> DecodedStructure:
     """Relations exactly first, then entities exactly under the forcing.
 
-    Stage 1 maximizes the sum of relation logits over all pairs (nulls
-    included; no bias, since entity types are unknown here) subject to
-    feasibility of the chosen non-null relations: one entity typing must
-    satisfy every chosen relation's whitelist at once, and under
-    non-overlap the involved endpoint spans must be pairwise disjoint.
+    Both stages are runs of the typing search.  Stage 1 maximizes the sum
+    of relation logits over all pairs (nulls included; no bias, since
+    entity types are unknown here) over the labelings some typing admits:
+    one typing satisfies every chosen relation's whitelist at once, and
+    under non-overlap the involved endpoint spans are pairwise disjoint.
+    So every entity score is 0 and each pair is worth its best
+    whitelisted logit under its endpoint types, in the orders of
+    _stage1_orders; the labels are read off at the typing found, and
+    among exactly tied optima the first one the search finds wins.
+
     Stage 2 maximizes the sum of entity logits with the endpoints of
     chosen relations forced non-null and jointly whitelist-consistent,
-    all other spans free.  Each stage gets the full budget.  The reported
-    score is the full objective of the final structure, bias included
-    when in use.
+    all other spans free: the typing search over the chosen pairs alone,
+    each worth 0 at a whitelisted typing and -inf at any other typed one.
+    Forced spans come first and never try null, then the rest by
+    descending logit spread.  Without the endpoint rule stage 1 is a
+    per-pair argmax and stage 2 forces nothing.  Each stage gets the full
+    budget.  The reported score is the full objective of the final
+    structure, bias included when in use.
     """
-    n_pairs = len(instance.pairs)
-    n_ent = len(instance.inventory.entity_types)
-    rel = instance.relation_logits
-    pairs, spans = instance.pairs, instance.spans
-
-    best_rels: list[int]
-    if n_pairs == 0:
-        best_rels = []
-    elif not constraints.consistency:
-        best_rels = [int(np.argmax(rel[p])) for p in range(n_pairs)]
-    else:
-        gains = rel.max(axis=1) - rel[:, NULL]
-        pair_order = sorted(range(n_pairs), key=lambda p: (-gains[p], p))
-        label_orders = _label_orders(rel)
-        suffix_ub = [0.0] * (n_pairs + 1)
-        for k in range(n_pairs - 1, -1, -1):
-            suffix_ub[k] = suffix_ub[k + 1] + float(rel[pair_order[k]].max())
-        rels = [NULL] * n_pairs
-        chosen: list[tuple[int, int, int]] = []  # (head, tail, label) of non-null rels
-        search = _BranchAndBound(rels, budget, "relation")
-
-        def feasible(h: int, t: int, r: int) -> bool:
-            """Whether the chosen relations stay satisfiable with r on (h, t)."""
-            if constraints.non_overlap:
-                if spans_overlap(spans[h], spans[t]):
-                    return False
-                involved = {v for a, b, _ in chosen for v in (a, b)}
-                for v in (h, t):
-                    for o in involved:
-                        if o != v and spans_overlap(spans[v], spans[o]):
-                            return False
-            return _typing_exists([*chosen, (h, t, r)], n_ent, constraints)
-
-        def children(k: int, partial: float) -> Iterator[float]:
-            if partial + suffix_ub[k] <= search.best:
-                return
-            p = pair_order[k]
-            h, t = pairs[p]
-            for r in label_orders[p]:
-                if r == NULL:
-                    yield partial + float(rel[p, NULL])
-                elif feasible(h, t, r):
-                    rels[p] = r
-                    chosen.append((h, t, r))
-                    yield partial + float(rel[p, r])
-                    chosen.pop()
-                    rels[p] = NULL
-
-        found = search.run(n_pairs, children)
-        assert found is not None
-        best_rels = found
-
-    ents = _entities_given_relations(instance, constraints, best_rels, budget)
-    ents_t, rels_t = tuple(ents), tuple(best_rels)
-    return DecodedStructure(
-        ents_t, rels_t, structure_score(instance, ents_t, rels_t, use_bias)
-    )
-
-
-def _entities_given_relations(
-    instance: ScoredInstance,
-    constraints: ConstraintSet,
-    rels: Sequence[int],
-    budget: int | None = None,
-) -> list[int]:
-    """Exact best entity labeling consistent with fixed relation labels.
-
-    Maximizes the sum of entity logits alone.  Endpoints of non-null
-    relations must take non-null types jointly satisfying the whitelist
-    (skipped when the endpoint rule is off); non-overlap applies among
-    all typed spans.  Branch and bound, forced spans decided first.
-    """
-    s = len(instance.spans)
     ent = instance.entity_logits
-    n_ent = ent.shape[1]
-    forced_cons = (
-        [
-            (instance.pairs[p][0], instance.pairs[p][1], r)
-            for p, r in enumerate(rels)
-            if r != NULL
-        ]
-        if constraints.consistency
-        else []
-    )
-    forced_set = {v for h, t, _ in forced_cons for v in (h, t)}
+    s, n_ent = ent.shape
+    pairs = instance.pairs
+    if constraints.consistency:
+        label_table, value_table = _pair_tables(instance, constraints, use_bias=False)
+        typing, _ = _typing_search(
+            instance.spans, pairs, np.zeros((s, n_ent)), value_table,
+            *_stage1_orders(value_table, pairs, s), constraints.non_overlap, budget, "relation",
+        )
+        rels = tuple(int(label_table[p, typing[h], typing[t]]) for p, (h, t) in enumerate(pairs))
+        chosen = [p for p, r in enumerate(rels) if r != NULL]
+    else:
+        rels = tuple(int(r) for r in instance.relation_logits.argmax(axis=1))
+        chosen = []
 
+    forced = {v for p in chosen for v in pairs[p]}
+    given = np.zeros((len(chosen), n_ent, n_ent))
+    allowed = constraints.allowed[1:, 1:, [rels[p] for p in chosen]]
+    given[:, 1:, 1:] = np.where(allowed.transpose(2, 0, 1), 0.0, -np.inf)
     spread = ent.max(axis=1) - ent.min(axis=1)
-    span_order = sorted(range(s), key=lambda i: (i not in forced_set, -spread[i], i))
-    pos_of = {sp: k for k, sp in enumerate(span_order)}
-    cons_by_depth: list[list[tuple[int, int, int]]] = [[] for _ in range(s)]
-    for h, t, r in forced_cons:
-        cons_by_depth[max(pos_of[h], pos_of[t])].append((h, t, r))
-    conflicts = _conflict_lists(instance.spans, span_order)
-
-    label_orders = []
-    for i in range(s):
-        opts = range(1, n_ent) if i in forced_set else range(n_ent)
-        label_orders.append(sorted(opts, key=lambda e: (-ent[i, e], e)))
-    if any(not lo for lo in label_orders):
-        raise RuntimeError("forced span has no non-null type available")
-    suffix = [0.0] * (s + 1)
-    for k in range(s - 1, -1, -1):
-        sp = span_order[k]
-        suffix[k] = suffix[k + 1] + max(float(ent[sp, e]) for e in label_orders[sp])
-
-    labels = [NULL] * s
-    search = _BranchAndBound(labels, budget, "entity")
-
-    def children(k: int, partial: float) -> Iterator[float]:
-        sp = span_order[k]
-        for e in label_orders[sp]:
-            if e != NULL and constraints.non_overlap:
-                if any(labels[o] != NULL for o in conflicts[k]):
-                    continue
-            labels[sp] = e
-            child = partial + float(ent[sp, e])
-            if all(
-                constraints.allows(labels[h], labels[t], r) for h, t, r in cons_by_depth[k]
-            ) and child + suffix[k + 1] > search.best:
-                yield child
-        labels[sp] = NULL
-
-    found = search.run(s, children)
-    if found is None:
-        raise RuntimeError("fixed relations admit no entity labeling")
-    return found
+    label_order = [
+        [e for e in order if e != NULL or i not in forced]
+        for i, order in enumerate(_label_orders(ent))
+    ]
+    ents, _ = _typing_search(
+        instance.spans, [pairs[p] for p in chosen], ent, given,
+        sorted(range(s), key=lambda i: (i not in forced, -spread[i], i)),
+        label_order, constraints.non_overlap, budget, "entity",
+    )
+    return DecodedStructure(
+        tuple(ents), rels, structure_score(instance, ents, rels, use_bias)
+    )
 
 
 def decode(

@@ -216,13 +216,17 @@ def oracle_relation_first(
 ) -> DecodedStructure:
     """Exhaustive two-stage maximum mirroring relation_first_decode.
 
-    Stage 1 enumerates relation labelings in the solver's branch order,
-    discarding prefixes whose chosen relations are jointly infeasible
-    (feasibility of a labeling is monotone: dropping relations never
-    breaks it, so prefix pruning discards no feasible completion).
+    Stage 1 enumerates relation labelings in pair order (descending gain
+    over null), discarding prefixes whose chosen relations are jointly
+    infeasible (feasibility of a labeling is monotone: dropping relations
+    never breaks it, so prefix pruning discards no feasible completion).
     Typing existence is tested by plain enumeration over the involved
     spans' typings, independent of the solver's search.  Stage 2
-    enumerates entity labelings outright.
+    enumerates entity labelings outright, in the solver's order.  The
+    solver's stage 1 searches typings instead, so among exactly tied
+    stage-1 optima the two may return different ones: they agree on
+    labels wherever the stage-1 optimum is unique, and on the stage-1
+    objective always.
     """
     n_pairs = len(instance.pairs)
     n_ent = instance.entity_logits.shape[1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from spanrel import (
     BenchRow,
@@ -55,6 +56,18 @@ def test_synthetic_instances_well_formed():
         else:
             st = decode(inst, "entity_first", cons)
         assert check_constraints(st, cons, inst) == []
+
+
+def test_synthetic_instances_refuse_lengths_with_too_few_spans():
+    """Lengths 1-4 admit 1, 3, 6 and 10 distinct spans of width <= 4, fewer
+    than the 14 a sentence may draw: the span draw would never end."""
+    cons = load_constraint_set("conll04")
+    for length in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match=f"length {length} admits"):
+            synthetic_instances(1, length, seed=0, constraints=cons)
+    # exactly enough: all 14 spans of length 5 can be drawn
+    assert len(synthetic_instances(2, 5, seed=0, constraints=cons)[0].spans) >= 10
+    assert synthetic_instances(1, 3, 0, cons, spans_per_sentence=(2, 6))
 
 
 def test_run_bench_rows_and_table():

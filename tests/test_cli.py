@@ -359,3 +359,15 @@ def test_bench_runs():
         "algorithm", "sentences", "seconds", "sent/s",
     ]
     assert "entity_first" in proc.stdout and "joint" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--count", "0"), ("--length", "-3"), ("--budget", "0"), ("--length", "1")],
+)
+def test_bench_refuses_sizes_it_cannot_run(flags):
+    """Non-positive sizes, and a length too short for the span draw."""
+    proc = run_cli("bench", "--count", "2", *flags)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

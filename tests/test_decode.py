@@ -453,36 +453,41 @@ def test_exact_decoders_search_deeper_than_the_recursion_limit(algorithm):
 # A change in search order, bounds or node accounting moves these numbers.
 PINNED_NODES = (
     # (source, instance index or sentence length, joint n, relation_first n)
-    ("synthetic", 0, 78, 741),
-    ("synthetic", 8, 140, 4705),
-    ("synthetic", 11, 91, 590),
-    ("pipeline", 18, 120, 24),
-    ("pipeline", 24, 293, 1213),
-    ("pipeline", 28, 360, 18061),
+    ("synthetic", 0, 78, 116),
+    ("synthetic", 8, 140, 112),
+    ("synthetic", 11, 91, 274),
+    ("pipeline", 18, 120, 21),
+    ("pipeline", 24, 293, 46),
+    ("pipeline", 28, 360, 29),
+    ("ace05", 5, 699, 425),
 )
 
 
 @pytest.fixture(scope="module")
 def pinned_inputs():
     cons = load_constraint_set("conll04")
-    synthetic = synthetic_instances(12, 20, 0, cons)
+    ace05 = load_constraint_set("ace05")
+    synthetic = {
+        "synthetic": (synthetic_instances(12, 20, 0, cons), cons),
+        "ace05": (synthetic_instances(12, 20, 0, ace05), ace05),
+    }
     params = init_params(cons.inventory, dim=32, heads=2, max_span_width=8, seed=0)
 
-    def instance(source: str, which: int) -> ScoredInstance:
-        if source == "synthetic":
-            return synthetic[which]
+    def instance(source: str, which: int) -> tuple[ScoredInstance, ConstraintSet]:
+        if source in synthetic:
+            batch, rules = synthetic[source]
+            return batch[which], rules
         tokens = [f"w{j}" for j in make_rng(which).integers(0, 40, which)]
-        return forward(tokens, params).instance
+        return forward(tokens, params).instance, cons
 
-    return cons, instance
+    return instance
 
 
 @pytest.mark.parametrize("source, which, joint_nodes, relation_first_nodes", PINNED_NODES)
 def test_exact_search_node_counts_are_pinned(
     pinned_inputs, source, which, joint_nodes, relation_first_nodes
 ):
-    cons, instance = pinned_inputs
-    inst = instance(source, which)
+    inst, cons = pinned_inputs(source, which)
     for algorithm, n in (("joint", joint_nodes), ("relation_first", relation_first_nodes)):
         decode(inst, algorithm, cons, budget=n)
         with pytest.raises(BudgetExceededError):
@@ -558,12 +563,20 @@ def test_relation_first_stage1_exact_by_product():
             n_relation_types=2,
         )
         cons = random_constraints(rng, inst.inventory, consistency=True)
-        st = relation_first_decode(inst, cons)
-        got = sum(
-            float(inst.relation_logits[p, r])
-            for p, r in enumerate(st.relation_labels)
+        # integer logits: stage 1 then has exactly tied optima
+        rounded = dataclasses.replace(
+            inst,
+            entity_logits=np.round(inst.entity_logits),
+            relation_logits=np.round(inst.relation_logits),
         )
-        assert got == pytest.approx(_stage1_product_score(inst, cons), abs=1e-9)
+        for case in (inst, rounded):
+            st = relation_first_decode(case, cons)
+            got = sum(
+                float(case.relation_logits[p, r])
+                for p, r in enumerate(st.relation_labels)
+            )
+            assert got == pytest.approx(_stage1_product_score(case, cons), abs=1e-9)
+            assert check_constraints(st, cons, case) == []
 
 
 def test_relation_first_whitelist_forces_typing():
