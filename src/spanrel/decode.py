@@ -159,7 +159,7 @@ def unconstrained_constraints(inventory: TypeInventory) -> ConstraintSet:
 
 def load_constraints(path: str) -> ConstraintSet:
     """Read a JSON constraint file (see docs/formats.md) into a ConstraintSet."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return constraints_from_doc(doc, origin=path)
 

@@ -2,8 +2,10 @@
 
 Every document kind has a published schema under spanrel/schemas/; loaders
 validate before constructing objects and raise FormatError with the
-offending location.  Writers emit canonical JSON (sorted keys, two-space
-indent, trailing newline) so identical data is byte-identical on disk.
+offending location.  Files are read and written as UTF-8.  Writers emit
+canonical JSON: compact, keys sorted, ASCII only, trailing newline, so
+identical data is byte-identical on disk.  Readers accept any JSON
+whitespace, so indented files written by earlier versions still load.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def load_schema(name: str) -> dict:
         text = (
             resources.files("spanrel")
             .joinpath("schemas", f"{name}.schema.json")
-            .read_text()
+            .read_text(encoding="utf-8")
         )
         _schemas[name] = json.loads(text)
     return _schemas[name]
@@ -295,14 +297,22 @@ def validate_document(doc: object, schema_name: str) -> None:
 
 def read_json(path: str) -> object:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 ({exc})") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def dump_canonical(doc: object) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Compact, key-sorted, ASCII-only JSON with a trailing newline.
+
+    Without indent, json runs its C encoder; floats are written by
+    float.__repr__ either way, so values round-trip exactly."""
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path: str, doc: object) -> None:
@@ -310,7 +320,7 @@ def write_json(path: str, doc: object) -> None:
         text = dump_canonical(doc)
     except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
         raise FormatError(f"{path} not written: {exc}") from exc
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -501,7 +511,7 @@ def load_constraint_set(name_or_path: str) -> ConstraintSet:
         text = (
             resources.files("spanrel")
             .joinpath("data", f"{name_or_path}_constraints.json")
-            .read_text()
+            .read_text(encoding="utf-8")
         )
         doc = json.loads(text)
         origin = f"bundled:{name_or_path}"

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import spanrel.cli as cli
 from spanrel import load_constraint_set, load_score_file, load_structure_file
 from spanrel.formats import validate_document
 
@@ -177,6 +178,44 @@ def test_bad_inputs_exit_2(tmp_path):
     assert proc.returncode == 2
     # missing file
     assert run_cli("verify", str(tmp_path / "ghost.json"), OVERLAP).returncode == 2
+
+
+@pytest.mark.parametrize("depth", [800, 1000, 100_000])
+@pytest.mark.parametrize("role", ["sentences", "scores", "structures", "verified scores"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, role, depth):
+    """Nesting too deep for the parser is a bad file, not a crash.  Depth
+    800 parses and fails validation; the deeper ones fail while reading."""
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * depth + "]" * depth)
+    out = str(tmp_path / "out.json")
+    if role == "verified scores":
+        assert cli.main(["decode", GOLDEN_SCORE, "-o", out]) == 0
+    argv = {
+        "sentences": ["score", str(nested), PARAMS, "-o", out],
+        "scores": ["decode", str(nested), "-o", out],
+        "structures": ["verify", str(nested), GOLDEN_SCORE],
+        "verified scores": ["verify", out, str(nested)],
+    }[role]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if depth > 800:
+        assert f"{nested}: JSON nested too deeply" in err
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale without UTF-8 mode, open() defaults to ASCII."""
+    sentences = tmp_path / "s.json"
+    sentences.write_text('{"sentences": [{"tokens": ["café", "opens"]}]}', encoding="utf-8")
+    out = tmp_path / "scores.json"
+    proc = run_cli(
+        "score", str(sentences), PARAMS, "-o", str(out),
+        env_extra={"LC_ALL": "C", "PYTHONUTF8": "0"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes().isascii()
+    _, instances = load_score_file(str(out))
+    assert instances[0].tokens == ("café", "opens")
 
 
 def test_budget_exit_3(tmp_path):

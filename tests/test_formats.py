@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from spanrel.formats import (
 
 from conftest import make_inventory
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 @pytest.fixture(scope="module")
 def scored():
@@ -57,6 +61,50 @@ def test_dump_canonical_is_stable():
     assert a == b
     assert a.endswith("\n")
     assert a.index('"a"') < a.index('"b"')
+    assert dump_canonical({"b": None, "a": [1, 2.5, "é"]}) == '{"a":[1,2.5,"\\u00e9"],"b":null}\n'
+
+
+def _bits(doc):
+    """The document with every float as its float.hex, so == compares bits
+    and an int never equals a float."""
+    if isinstance(doc, float):
+        return ("float", doc.hex())
+    if isinstance(doc, dict):
+        return {key: _bits(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_bits(value) for value in doc]
+    return doc
+
+
+def _same_instance(a, b):
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "bias":
+            for table in ("joint", "head_relation", "tail_relation", "head_tail"):
+                assert np.array_equal(getattr(x, table), getattr(y, table)), table
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@pytest.mark.parametrize("name", ["golden_score.json", "params.json"])
+def test_indented_fixtures_reencode_exactly(tmp_path, name):
+    """Files written indented by earlier versions still load, and writing
+    them again in the compact form keeps every value to the bit."""
+    original = read_json(str(FIXTURES / name))
+    path = tmp_path / name
+    write_json(str(path), original)
+    assert path.stat().st_size < (FIXTURES / name).stat().st_size
+    again = read_json(str(path))
+    assert again == original
+    assert _bits(again) == _bits(original)
+    if name == "golden_score.json":
+        _, before = load_score_file(str(FIXTURES / name))
+        _, after = load_score_file(str(path))
+        assert len(before) == len(after) > 0
+        for a, b in zip(before, after):
+            _same_instance(a, b)
 
 
 def test_write_json_refuses_non_finite(tmp_path):
@@ -75,6 +123,10 @@ def test_read_json_errors(tmp_path):
         read_json(str(p))
     with pytest.raises(OSError):
         read_json(str(tmp_path / "missing.json"))
+    p.write_bytes(b'{"tokens": ["caf\xe9"]}')  # Latin-1, not UTF-8
+    with pytest.raises(FormatError) as err:
+        read_json(str(p))
+    assert "not UTF-8" in str(err.value)
 
 
 def test_sentences_roundtrip(tmp_path):
