@@ -39,7 +39,7 @@ class FormatError(ValueError):
 
 
 _schemas: dict[str, dict] = {}
-# Per schema: its validator and the path tree to its leaf arrays.
+# Per schema: a validator of its head and the path tree to its leaf arrays.
 _checkers: dict[str, tuple[object, dict | None]] = {}
 
 
@@ -89,23 +89,26 @@ class _Scalar(NamedTuple):
     types: frozenset
     minimum: float | None
     min_length: int  # strings only
+    own: dict  # the schema node
 
 
 class _Record(NamedTuple):
-    """A flat object schema: required keys and a scalar schema per property.
-    Other keys are allowed, as the schema allows them."""
+    """An object schema whose properties are scalars or leaf arrays.  Other
+    keys are allowed, as the schema allows them."""
 
     required: tuple[str, ...]
-    fields: dict[str, _Scalar]
+    fields: dict[str, _Scalar | _LeafArray]
+    own: dict  # the node's keywords for the object itself
 
 
 class _LeafArray(NamedTuple):
-    """A schema node for nested arrays of scalars or flat records, checked
-    in bulk."""
+    """An array schema whose items are all one scalar, record or leaf array
+    spec, checked in bulk."""
 
-    levels: tuple[tuple[int, int | None], ...]  # (minItems, maxItems), outermost first
-    item: _Scalar | _Record
-    schema: dict
+    min_items: int
+    max_items: int | None
+    item: _Scalar | _Record | _LeafArray
+    own: dict  # the node's keywords for the array itself
 
 
 _EACH = None  # path-tree step: every element of an array
@@ -131,61 +134,69 @@ def _resolve(root: dict, node: object) -> dict | None:
     return node if isinstance(node, dict) else None
 
 
-def _scalar(node: dict | None) -> _Scalar | None:
-    kind = node.get("type") if node is not None else None
+def _scalar(node: dict) -> _Scalar | None:
+    kind = node.get("type")
     if not isinstance(kind, str) or kind not in _SCALAR_KEYS:
         return None
     types, keys = _SCALAR_KEYS[kind]
     if not set(node) <= _ANNOTATIONS | keys:
         return None
-    return _Scalar(frozenset(types), node.get("minimum"), node.get("minLength", 0))
+    return _Scalar(frozenset(types), node.get("minimum"), node.get("minLength", 0), node)
 
 
-def _record(root: dict, node: dict) -> _Record | None:
+def _record(root: dict, node: dict, specs: dict) -> _Record | None:
     if node.get("type") != "object" or not set(node) <= _OBJECT_KEYS - {"additionalProperties"}:
         return None
-    fields = {key: _scalar(_resolve(root, sub)) for key, sub in node.get("properties", {}).items()}
-    if None in fields.values():
-        return None
-    return _Record(tuple(node.get("required", ())), fields)
-
-
-def _leaf_array(root: dict, node: dict) -> _LeafArray | None:
-    """The bulk-check spec of node if it is nested arrays of one scalar
-    type or of flat records."""
-    top, levels = node, []
-    while node.get("type") == "array" and set(node) <= _ARRAY_KEYS:
-        low, high = node.get("minItems", 0), node.get("maxItems")
-        prefix = node.get("prefixItems")
-        if prefix:
-            # A fixed-width tuple of identical items, such as a [start, end] span.
-            same = all(_resolve(root, p) == _resolve(root, prefix[0]) for p in prefix)
-            if "items" in node or not same or low != len(prefix) or high != low:
-                return None
-            item = prefix[0]
-        elif "items" in node:
-            item = node["items"]
-        else:
+    fields = {}
+    for key, sub in node.get("properties", {}).items():
+        sub = _resolve(root, sub)
+        fields[key] = None if sub is None else _scalar(sub) or _leaf_array(root, sub, specs)
+        if fields[key] is None:
             return None
-        levels.append((low, high))
-        node = _resolve(root, item)
-        if node is None:
-            return None
-    item = _scalar(node) or _record(root, node)
-    if not levels or item is None:
+    own = {k: v for k, v in node.items() if k != "properties"}
+    return _Record(tuple(node.get("required", ())), fields, own)
+
+
+def _leaf_array(root: dict, node: dict, specs: dict) -> _LeafArray | None:
+    """The bulk-check spec of node if it is an array of scalars, records
+    or leaf arrays; one spec object per schema node, kept in specs."""
+    if id(node) in specs:
+        return specs[id(node)]
+    if node.get("type") != "array" or not set(node) <= _ARRAY_KEYS:
         return None
-    return _LeafArray(tuple(levels), item, top)
+    low, high = node.get("minItems", 0), node.get("maxItems")
+    prefix = node.get("prefixItems")
+    if prefix:
+        # A fixed-width tuple of identical items, such as a [start, end] span.
+        same = all(_resolve(root, p) == _resolve(root, prefix[0]) for p in prefix)
+        if "items" in node or not same or low != len(prefix) or high != low:
+            return None
+        item = prefix[0]
+    elif "items" in node:
+        item = node["items"]
+    else:
+        return None
+    item = _resolve(root, item)
+    if item is None:
+        return None
+    item = _scalar(item) or _record(root, item, specs) or _leaf_array(root, item, specs)
+    if item is None:
+        return None
+    own = {k: v for k, v in node.items() if k not in ("items", "prefixItems")}
+    specs[id(node)] = _LeafArray(low, high, item, own)
+    return specs[id(node)]
 
 
-def _strip_tree(root: dict, node: object) -> dict | _LeafArray | None:
+def _strip_tree(root: dict, node: object, specs: dict) -> dict | _LeafArray | None:
     """Path tree from node to the leaf arrays beneath it, None if none.
 
-    Descends only through plain object properties and array items, so an
-    array replaced by [] changes what no other keyword sees."""
+    Descends only through plain object properties and array items, so
+    taking a leaf array out of the jsonschema walk changes what no other
+    keyword sees."""
     node = _resolve(root, node)
     if node is None:
         return None
-    leaf = _leaf_array(root, node)
+    leaf = _leaf_array(root, node, specs)
     if leaf is not None:
         return leaf
     types = node.get("type")
@@ -196,45 +207,58 @@ def _strip_tree(root: dict, node: object) -> dict | _LeafArray | None:
     elif types == "array" and set(node) <= _ARRAY_KEYS - {"prefixItems"}:
         if "items" in node:
             steps = {_EACH: node["items"]}
-    tree = {step: _strip_tree(root, sub) for step, sub in steps.items()}
+    tree = {step: _strip_tree(root, sub, specs) for step, sub in steps.items()}
     tree = {step: sub for step, sub in tree.items() if sub is not None}
     return tree or None
 
 
+def _head_schema(root: dict, node: object, tree) -> object:
+    """Copy of node in which the schema of every leaf array under tree is
+    True, so jsonschema does not descend into it."""
+    if isinstance(tree, _LeafArray):
+        return True
+    node = dict(_resolve(root, node))
+    if _EACH in tree:
+        node["items"] = _head_schema(root, node["items"], tree[_EACH])
+    else:
+        node["properties"] = dict(node["properties"])
+        for key, sub in tree.items():
+            node["properties"][key] = _head_schema(root, node["properties"][key], sub)
+    return node
+
+
 def _checker(schema_name: str) -> tuple[object, dict | None]:
+    """A validator of the document head, and the path tree to its leaf arrays."""
     if schema_name not in _checkers:
         schema = load_schema(schema_name)
-        _checkers[schema_name] = (_StrictValidator(schema), _strip_tree(schema, schema))
+        tree = _strip_tree(schema, schema, {})
+        head = _head_schema(schema, schema, tree) if tree else schema
+        _checkers[schema_name] = (_StrictValidator(head), tree)
     return _checkers[schema_name]
 
 
-def _strip(node: object, tree, path: tuple, found: list) -> object:
-    """Copy of node with every leaf array under tree replaced by [];
-    the arrays go to found with their paths."""
+def _collect(node: object, tree, path: tuple, columns: dict) -> None:
+    """Add each leaf array under tree to the column of its spec, with its path."""
     if isinstance(tree, _LeafArray):
-        if type(node) is not list:
-            return node
-        found.append((path, node, tree))
-        # The skeleton keeps the first minItems entries, so that jsonschema
-        # still sees whether the array is long enough.
-        return node[: tree.levels[0][0]]
-    if type(node) is list and _EACH in tree:
-        sub = tree[_EACH]
-        return [_strip(x, sub, (*path, i), found) for i, x in enumerate(node)]
-    if type(node) is dict:
-        node = dict(node)
+        columns.setdefault(id(tree), (tree, []))[1].append((path, node))
+    elif type(node) is list and _EACH in tree:
+        for i, x in enumerate(node):
+            _collect(x, tree[_EACH], (*path, i), columns)
+    elif type(node) is dict:
         for key, sub in tree.items():
             if key in node:
-                node[key] = _strip(node[key], sub, (*path, key), found)
-    return node
+                _collect(node[key], sub, (*path, key), columns)
 
 
 def _scalars_ok(items: list, spec: _Scalar) -> bool:
     if not items:
         return True
-    if not set(map(type, items)) <= spec.types:
+    kinds = set(map(type, items))
+    if not kinds <= spec.types:
         return False
-    if float in spec.types:
+    # A finite sum of floats means each one is finite; an overflowing sum
+    # and ints, which can cancel, are left to the exact test.
+    if float in spec.types and not (kinds == {float} and math.isfinite(sum(items))):
         try:
             if not np.isfinite(np.array(items, dtype=np.float64)).all():
                 return False
@@ -245,50 +269,100 @@ def _scalars_ok(items: list, spec: _Scalar) -> bool:
     return spec.minimum is None or min(items) >= spec.minimum
 
 
-def _leaf_ok(value: list, spec: _LeafArray) -> bool:
-    """Bulk check of a leaf array; True only if jsonschema plus the strict
-    type rules would find nothing wrong with it."""
-    items = [value]
-    for low, high in spec.levels:
-        if not set(map(type, items)) <= {list}:
+def _column_ok(values: list, spec: _Scalar | _Record | _LeafArray) -> bool:
+    """Bulk check of values that all sit at one schema node; True only if
+    jsonschema plus the strict type rules would find nothing wrong with any
+    of them.  The check of a list holds iff it holds for each value."""
+    if isinstance(spec, _Scalar):
+        return _scalars_ok(values, spec)
+    if isinstance(spec, _LeafArray):
+        if not set(map(type, values)) <= {list}:
             return False
-        if low and min(map(len, items), default=low) < low:
+        if spec.min_items and min(map(len, values), default=spec.min_items) < spec.min_items:
             return False
-        if high is not None and max(map(len, items), default=0) > high:
+        if spec.max_items is not None and max(map(len, values), default=0) > spec.max_items:
             return False
-        items = list(chain.from_iterable(items))
-    if isinstance(spec.item, _Scalar):
-        return _scalars_ok(items, spec.item)
-    if not set(map(type, items)) <= {dict}:
+        return _column_ok(list(chain.from_iterable(values)), spec.item)
+    if not set(map(type, values)) <= {dict}:
         return False
-    record = spec.item
-    if not all(key in r for key in record.required for r in items):
+    if not all(key in r for key in spec.required for r in values):
         return False
     return all(
-        _scalars_ok([r[key] for r in items if key in r], field)
-        for key, field in record.fields.items()
+        _column_ok([r[key] for r in values if key in r], field)
+        for key, field in spec.fields.items()
     )
+
+
+def _first_bad(items: list, spec) -> int:
+    """Index of the first item that fails its bulk check, by bisection; at
+    least one does."""
+    lo, hi = 0, len(items)  # items[:lo] pass; items[lo:hi] holds a failure
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _column_ok(items[lo:mid], spec):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _first_error(validator, value: object, spec) -> tuple[list, str]:
+    """Location and message of the error jsonschema reports first for value,
+    which failed its bulk check.  The node's own keywords are walked first,
+    as their errors sit at the shortest location; then only the first bad
+    element, or the failing property whose name sorts first."""
+    error = next(validator.evolve(schema=spec.own).iter_errors(value), None)
+    if error is not None:
+        return [], error.message
+    if isinstance(spec, _LeafArray):
+        step = _first_bad(value, spec.item)
+        sub = spec.item
+    else:  # a record; a scalar always fails on its own keywords
+        step = min(k for k, f in spec.fields.items() if k in value and not _column_ok([value[k]], f))
+        sub = spec.fields[step]
+    where, message = _first_error(validator, value[step], sub)
+    return [step, *where], message
+
+
+def _message(error: jsonschema.ValidationError) -> str:
+    """jsonschema's message, but a document of the wrong type is named by
+    its JSON type rather than printed whole."""
+    if error.path or error.validator != "type" or not isinstance(error.instance, (list, dict)):
+        return error.message
+    types = error.validator_value
+    types = [types] if isinstance(types, str) else types
+    kind = "an array" if isinstance(error.instance, list) else "an object"
+    return f"{kind} is not of type {', '.join(map(repr, types))}"
 
 
 def validate_document(doc: object, schema_name: str) -> None:
     """Schema-check a parsed document; FormatError names the bad path.
 
-    jsonschema walks a skeleton of the document whose leaf arrays (logits,
-    spans, weight matrices, token lists, a structure's entity and relation
-    records) are emptied down to their minItems; each of those is checked
-    in bulk instead, and only an array that fails is walked
-    element by element to find the location.  Beyond the schema, every
-    number must be finite and an integer may not be written as 1.0."""
+    jsonschema walks only the head of the document (the root object,
+    version, seed and the bias and weight-group objects; a gold file's
+    sentences, whose triples do not qualify, in full).  Every leaf array
+    (an array of scalars, of leaf arrays, or of records whose properties
+    are scalars or leaf arrays) is checked in bulk instead, one column per
+    schema node: a score, structure or sentences file's `sentences` array
+    is one leaf array, so the logits of all its sentences are one column,
+    as are all params matrices that use one `$defs` entry.  Only a column
+    that fails is searched, by bisection, for its first bad element, and
+    jsonschema walks just that element, so the location and message are
+    the ones a full walk reports first.  Beyond the schema, every number
+    must be finite and an integer may not be written as 1.0; a document of
+    the wrong type is named by its JSON type, not printed."""
     validator, tree = _checker(schema_name)
-    found: list = []
-    skeleton = _strip(doc, tree, (), found) if tree else doc
-    errors = [(list(e.absolute_path), e.message) for e in validator.iter_errors(skeleton)]
-    for path, value, spec in found:
-        if not _leaf_ok(value, spec):
-            errors += [
-                ([*path, *e.absolute_path], e.message)
-                for e in validator.evolve(schema=spec.schema).iter_errors(value)
-            ]
+    errors = [(list(e.absolute_path), _message(e)) for e in validator.iter_errors(doc)]
+    columns: dict = {}
+    if tree:
+        _collect(doc, tree, (), columns)
+    for spec, members in columns.values():
+        if not _column_ok([value for _, value in members], spec):
+            path, value = min(
+                ((p, v) for p, v in members if not _column_ok([v], spec)), key=lambda m: m[0]
+            )
+            where, message = _first_error(validator, value, spec)
+            errors.append(([*path, *where], message))
     if errors:
         where, message = min(errors, key=lambda e: e[0])
         where = "/".join(str(p) for p in where) or "<root>"

@@ -13,14 +13,17 @@ from __future__ import annotations
 import copy
 import json
 import math
+import random
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import spanrel.cli as cli
+import spanrel.formats as formats
 from spanrel import ConstraintSet, FormatError, decode, load_gold, load_score_file
 from spanrel.formats import (
+    _StrictValidator,
     instances_from_score_doc,
     load_schema,
     structure_document,
@@ -52,6 +55,11 @@ GOLD = {
 
 DOCS = {
     "score": _load("golden_score.json"),
+    # 300 sentences, as many as the cli-short benchmark scores
+    "score-300": dict(
+        _load("golden_score.json"),
+        sentences=[copy.deepcopy(s) for s in _load("golden_score.json")["sentences"] * 75],
+    ),
     "params": _load("params.json"),
     "structure": _structure_doc(),
     "sentences": _load("sentences.json"),
@@ -82,8 +90,10 @@ def drop(path: str):
     return mutate
 
 
-def mutated(schema: str, *mutations) -> dict:
-    doc = copy.deepcopy(DOCS[schema])
+def mutated(source: str, *mutations) -> dict:
+    """A mutated copy of DOCS[source]; the source's schema is its name up
+    to the first "-"."""
+    doc = copy.deepcopy(DOCS[source])
     for mutate in mutations:
         mutate(doc)
     return doc
@@ -187,6 +197,19 @@ PARITY = {
         "structure",
         [put("sentences/0/relations", [dict(RELATION, score=True)])],
     ),
+    # records in the sentences array
+    "score-sentence-is-list": ("score", [put("sentences/1", [0, 1])]),
+    "score-last-sentence-missing-kept": ("score", [drop("sentences/3/span_kept")]),
+    "score-zero-length": ("score", [put("sentences/2/length", 0)]),
+    "score-bool-length": ("score", [put("sentences/0/length", True)]),
+    "score-tokens-in-some-allowed": ("score", [drop("sentences/1/tokens"), drop("sentences/3/tokens")]),
+    "score-extra-key-allowed": ("score", [put("sentences/2/note", {"any": [None, 1.5]})]),
+    "structure-last-entity-missing-score": ("structure", [drop("sentences/3/entities/0/score")]),
+    "structure-two-entities-missing-score": (
+        "structure",
+        [drop("sentences/2/entities/1/score"), drop("sentences/1/entities/0/score")],
+    ),
+    "sentences-missing-tokens": ("sentences", [drop("sentences/2/tokens")]),
     # gold triples
     "gold-unchanged": ("gold", []),
     "gold-short-relation-triple": ("gold", [put("sentences/0/relations/0", lambda r: r[:2])]),
@@ -199,7 +222,9 @@ def test_parity_with_full_jsonschema(case):
     doc = mutated(schema, *mutations)
     expected = plain_outcome(doc, schema)
     assert outcome(doc, schema) == expected
-    if case.endswith(("unchanged", "ragged-logit", "ragged-bias", "empty-sentence", "valid-relation")):
+    if case.endswith(
+        ("unchanged", "ragged-logit", "ragged-bias", "empty-sentence", "valid-relation", "allowed")
+    ):
         assert expected is None
     else:
         assert expected is not None
@@ -211,6 +236,7 @@ STRICTER = {
     "score-inf-ranking": ("score", "sentences/1/pair_ranking_scores/0", math.inf),
     "score-neg-inf-bias": ("score", "bias/joint/0/1/2", -math.inf),
     "score-huge-int-logit": ("score", "sentences/2/relation_logits/1/1", 10**400),
+    "score-300-nan-last-ranking": ("score-300", "sentences/299/pair_ranking_scores/5", math.nan),
     "params-nan-proj": ("params", "relation_proj/5/3", math.nan),
     "params-inf-attention": ("params", "relation_read/wo/1/0/2", math.inf),
     "params-nan-bias": ("params", "bias/tail_relation/1/0", math.nan),
@@ -227,8 +253,9 @@ STRICTER = {
 
 @pytest.mark.parametrize("case", sorted(STRICTER))
 def test_stricter_rules_are_the_only_difference(case):
-    schema, path, value = STRICTER[case]
-    doc = mutated(schema, put(path, value))
+    source, path, value = STRICTER[case]
+    schema = source.split("-")[0]
+    doc = mutated(source, put(path, value))
     assert plain_outcome(doc, schema) is None
     got = outcome(doc, schema)
     assert got is not None and got.startswith(f"invalid {schema} document at {path}: ")
@@ -292,3 +319,102 @@ def test_cli_decode_fails_closed_on_every_mutated_score(tmp_path):
             code = cli.main(["decode", str(path), "-o", str(out), "--algorithm", algo])
             assert code in ((0, 2) if expected is None else (expected,)), (case, algo)
             assert code == 2 or "NaN" not in out.read_text(), (case, algo)
+
+
+def strict_outcome(doc, schema: str):
+    """What a full _StrictValidator walk of the whole document reports."""
+    validator = _StrictValidator(load_schema(schema))
+    errors = [(list(e.absolute_path), e.message) for e in validator.iter_errors(doc)]
+    if not errors:
+        return None
+    where, message = min(errors, key=lambda e: e[0])
+    return f"invalid {schema} document at {'/'.join(map(str, where)) or '<root>'}: {message}"
+
+
+ODD_VALUES = (True, False, None, "x", [], [1.5], {}, RELATION, math.nan, float("1e400"), 2**70)
+
+
+def _random_mutation(rng: random.Random, doc: dict) -> None:
+    """Delete a key or an item, insert an item, or replace a value, at a
+    random place below the root."""
+    if not doc:
+        return
+    parent, key = doc, rng.choice(sorted(doc))
+    while isinstance(parent[key], (list, dict)) and parent[key] and rng.random() < 0.8:
+        parent = parent[key]
+        key = rng.randrange(len(parent)) if type(parent) is list else rng.choice(sorted(parent))
+    node = parent[key]
+    action = rng.choice(("delete", "insert", "replace", "replace"))
+    if action == "delete":
+        del parent[key]
+    elif action == "insert" and type(node) is list:
+        item = rng.choice(node) if node and rng.random() < 0.5 else rng.choice(ODD_VALUES)
+        node.insert(rng.randrange(len(node) + 1), copy.deepcopy(item))
+    else:
+        parent[key] = copy.deepcopy(rng.choice(ODD_VALUES))
+
+
+def test_seeded_mutations_match_a_full_strict_walk():
+    """Bulk checks plus the walk of the first bad element give the verdict,
+    location and message of a full _StrictValidator walk."""
+    rng = random.Random(0)
+    rejected = 0
+    for trial in range(360):
+        schema = ("score", "structure", "sentences")[trial % 3]
+        doc = mutated(schema, *[lambda d: _random_mutation(rng, d)] * rng.choice((1, 1, 2, 3)))
+        expected = strict_outcome(doc, schema)
+        assert outcome(doc, schema) == expected, (trial, expected)
+        rejected += expected is not None
+    assert 200 < rejected < 340  # both verdicts are exercised
+
+
+@pytest.mark.parametrize("schema", ["score", "structure", "sentences"])
+def test_jsonschema_walks_no_sentence(monkeypatch, schema):
+    """Only the document head reaches jsonschema; sentence records are
+    checked as columns."""
+    seen = []
+    plain = _StrictValidator.VALIDATORS["type"]
+
+    def spy(validator, types, instance, node):
+        seen.append(instance)
+        yield from plain(validator, types, instance, node)
+
+    monkeypatch.setitem(_StrictValidator.VALIDATORS, "type", spy)
+    monkeypatch.setattr(formats, "_checkers", {})
+    doc = DOCS[schema]
+    validate_document(doc, schema)
+    keys = set(doc["sentences"][0])
+    assert seen and not any(type(x) is dict and keys & set(x) for x in seen)
+
+
+def test_one_bad_token_among_many_builds_few_errors(tmp_path, monkeypatch, capsys):
+    """Rejecting a long bad token list walks only its first bad token."""
+    built = []
+    init = jsonschema.ValidationError.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.ValidationError, "__init__", counting_init)
+    sentences = tmp_path / "sentences.json"
+    sentences.write_text(json.dumps({"sentences": [{"tokens": list(range(200_000))}]}))
+    argv = ["score", str(sentences), str(FIXTURES / "params.json"), "-o", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid sentences document at sentences/0/tokens/0: 0 is not of type 'string'\n"
+    assert len(built) <= 2
+
+
+def test_a_document_of_the_wrong_type_is_named_not_printed(tmp_path, capsys):
+    wrapped = tmp_path / "wrapped.json"
+    wrapped.write_text(json.dumps([DOCS["score"]]))
+    assert cli.main(["decode", str(wrapped), "-o", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid score document at <root>: an array is not of type 'object'\n"
+    assert len(err) < 200
+    # scalars are still shown as they are
+    assert outcome(5, "score") == "invalid score document at <root>: 5 is not of type 'object'"
+    assert outcome({"sentences": {}}, "sentences") == (
+        "invalid sentences document at sentences: {} is not of type 'array'"
+    )
