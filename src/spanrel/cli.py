@@ -91,19 +91,19 @@ def _load_params(path: str):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _task_constraints(inventory: TypeInventory) -> ConstraintSet:
-    """Task rules only: unique type, non-overlap, endpoint consistency."""
-    return ConstraintSet(inventory)
-
-
-def _check_inventory(constraints: ConstraintSet, inventory: TypeInventory) -> None:
-    if (
-        constraints.inventory.entity_types != inventory.entity_types
-        or constraints.inventory.relation_types != inventory.relation_types
-    ):
-        raise FormatError(
-            "constraint file types do not match the score file inventory"
-        )
+def _constraints(source: str | None, instances: list) -> ConstraintSet | None:
+    """The constraint set named by source, else the task rules alone (unique
+    type, non-overlap, endpoint consistency); it must use the score file's
+    types.  None when there is neither a source nor a sentence."""
+    if source is not None:
+        constraints = load_constraint_set(source)
+    elif instances:
+        constraints = ConstraintSet(instances[0].inventory)
+    else:
+        return None
+    if instances and constraints.inventory != instances[0].inventory:
+        raise FormatError("constraint file types do not match the score file inventory")
+    return constraints
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +124,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     config = _make_config(args)
     _, instances = load_score_file(args.scores)
     algorithm = config.algorithm
-    if args.constraints is not None:
-        constraints = load_constraint_set(args.constraints)
-    else:
-        constraints = _task_constraints(instances[0].inventory) if instances else None
-    if instances and constraints is not None:
-        _check_inventory(constraints, instances[0].inventory)
+    constraints = _constraints(args.constraints, instances)
     use_bias = config.use_bias and algorithm != "unconstrained"
     try:
         structures = [
@@ -148,15 +143,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     struct_doc = load_structure_file(args.structures)
     _, instances = load_score_file(args.scores)
-    source = args.constraints or struct_doc.get("constraints")
-    if source is not None:
-        constraints = load_constraint_set(source)
-    elif instances:
-        constraints = _task_constraints(instances[0].inventory)
-    else:
-        constraints = None
-    if instances and constraints is not None:
-        _check_inventory(constraints, instances[0].inventory)
+    constraints = _constraints(args.constraints or struct_doc.get("constraints"), instances)
     structures = structures_from_doc(struct_doc, instances)
     total = 0
     for pos, (st, inst) in enumerate(zip(structures, instances)):

@@ -17,10 +17,11 @@ Both exact decoders are runs of one typing search, ``_typing_search``:
 depth-first branch and bound over span labels, for an entity score grid
 and a table of pair values under every endpoint typing, with a bound that
 follows the search.  Joint runs it once; each relation-first stage is one
-run with its own scores and pair values.  It runs on ``_BranchAndBound``,
-which keeps an explicit stack of generators, so no search is limited by
-Python's recursion depth, and owns the node count and budget, the
-incumbent and the leaf snapshot.
+run with its own scores and pair values.  The search keeps an explicit
+stack of generators, so no search is limited by Python's recursion depth.
+Weighted interval scheduling is one layout and one DP
+(``_interval_layout``, ``_interval_dp``), shared by entity-first's overlap
+resolution and the search's bound.
 
 Tie rules are fixed throughout: argmax ties go to the lower type index,
 the interval DP prefers excluding the later-sorted interval, and every
@@ -34,23 +35,20 @@ returns the same structure with fewer nodes.
 The whitelist is compiled once per constraint set into a boolean
 (E, E, R) array, ``ConstraintSet.allowed``, and the bias into one
 (E, E, R) array, ``BiasTable.combined()``; every decoder reads both.
+The endpoint rule (a non-null relation needs two non-null endpoints) is
+the ``consistency`` flag; the whitelist binds every relation between
+typed endpoints whether or not it is on.
 
 Brute-force oracles that re-derive the same optima by enumeration live
 with the tests (``tests/oracles.py``), not in the package.
-
-Note on flag interplay: the endpoint rule (a non-null relation needs two
-non-null endpoints) is the ``consistency`` flag.  The staged decoders
-assume it is on, as it is in every bundled constraint file; switching it
-off degenerates them to their unconstrained relation step.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -155,13 +153,6 @@ class ConstraintSet:
 def unconstrained_constraints(inventory: TypeInventory) -> ConstraintSet:
     """A constraint set that permits everything."""
     return ConstraintSet(inventory, non_overlap=False, consistency=False)
-
-
-def load_constraints(path: str) -> ConstraintSet:
-    """Read a JSON constraint file (see docs/formats.md) into a ConstraintSet."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return constraints_from_doc(doc, origin=path)
 
 
 def constraints_from_doc(doc: dict, origin: str = "<document>") -> ConstraintSet:
@@ -351,6 +342,32 @@ def unconstrained_decode(instance: ScoredInstance) -> DecodedStructure:
 # entity-first
 
 
+def _interval_layout(
+    spans: Sequence[tuple[int, ...]],
+) -> tuple[list[int], list[int]]:
+    """Weighted-interval-scheduling layout of inclusive (start, end, ...)
+    intervals: their indices sorted by (end, start, index), and for each
+    sorted position how many sorted intervals end strictly before it
+    starts."""
+    order = sorted(range(len(spans)), key=lambda j: (spans[j][1], spans[j][0], j))
+    ends = [spans[j][1] for j in order]
+    return order, [bisect_right(ends, spans[j][0] - 1) for j in order]
+
+
+def _interval_dp(weights: Sequence[float], pred: Sequence[int]) -> list[float]:
+    """dp[i]: the best total of pairwise disjoint intervals among the first
+    i of a layout, weights in layout order; the empty set counts, and on
+    equal totals the later interval is left out."""
+    dp = [0.0]
+    best = 0.0
+    for w, p in zip(weights, pred):
+        take = dp[p] + w
+        if take > best:
+            best = take
+        dp.append(best)
+    return dp
+
+
 def max_weight_nonoverlap(
     candidates: Sequence[tuple[int, int, float]]
 ) -> tuple[int, ...]:
@@ -358,35 +375,22 @@ def max_weight_nonoverlap(
 
     candidates are (start, end, weight) with inclusive ends.  Weighted
     interval scheduling in O(n log n): sort by end, binary-search each
-    interval's rightmost compatible predecessor, one DP sweep.  The empty
-    set is admissible, so negative-weight intervals are never forced in;
-    on equal totals the DP prefers excluding the later-sorted interval.
-    Returns indices into candidates, ascending.
+    interval's rightmost compatible predecessor, one DP sweep, then
+    backtrack.  The empty set is admissible, so negative-weight intervals
+    are never forced in; on equal totals the DP prefers excluding the
+    later-sorted interval.  Returns indices into candidates, ascending.
     """
-    n = len(candidates)
-    if n == 0:
-        return ()
-    order = sorted(range(n), key=lambda i: (candidates[i][1], candidates[i][0], i))
-    ends = [candidates[i][1] for i in order]
-    # p[j]: how many sorted intervals end strictly before interval j starts
-    p = [bisect_right(ends, candidates[order[j]][0] - 1) for j in range(n)]
-    best = [0.0] * (n + 1)
-    take = [False] * n
-    for j in range(n):
-        with_j = best[p[j]] + candidates[order[j]][2]
-        if with_j > best[j]:
-            best[j + 1] = with_j
-            take[j] = True
-        else:
-            best[j + 1] = best[j]
+    order, pred = _interval_layout(candidates)
+    weights = [candidates[j][2] for j in order]
+    dp = _interval_dp(weights, pred)
     chosen: list[int] = []
-    j = n
-    while j > 0:
-        if take[j - 1]:
-            chosen.append(order[j - 1])
-            j = p[j - 1]
+    i = len(order)
+    while i > 0:
+        if dp[pred[i - 1]] + weights[i - 1] > dp[i - 1]:
+            chosen.append(order[i - 1])
+            i = pred[i - 1]
         else:
-            j -= 1
+            i -= 1
     return tuple(sorted(chosen))
 
 
@@ -447,60 +451,6 @@ def entity_first_decode(
 # shared machinery for the exact searches
 
 
-class _BranchAndBound:
-    """Depth-first branch and bound over a fixed number of decisions.
-
-    The walk keeps an explicit stack of one generator per depth instead of
-    recursing.  children(k, partial) decides position k of the caller's
-    labels: per candidate label it applies the label, yields the child's
-    partial objective when the child is worth entering, and undoes the
-    label when resumed.  Bounds compare against best, the incumbent's
-    objective, which the engine keeps.
-
-    A node counts on entry, the root included; past budget nodes the
-    search raises BudgetExceededError naming the search.  A leaf replaces
-    the incumbent only on strict improvement, so the result is the first
-    optimum in search order.
-    """
-
-    def __init__(
-        self, labels: list[int], budget: int | None = None, name: str = ""
-    ) -> None:
-        self.labels = labels
-        self.budget = budget
-        self.name = name
-        self.best = -math.inf
-
-    def run(
-        self, depth: int, children: Callable[[int, float], Iterator[float]]
-    ) -> list[int] | None:
-        """A copy of labels at the best leaf, or None if no leaf was reached."""
-        found = None
-        stack: list[Iterator[float]] = []
-        partial = 0.0
-        nodes = 0
-        while True:
-            nodes += 1
-            if self.budget is not None and nodes > self.budget:
-                raise BudgetExceededError(
-                    f"{self.name} search expanded more than {self.budget} nodes"
-                )
-            if len(stack) == depth:
-                if partial > self.best:
-                    self.best = partial
-                    found = self.labels.copy()
-            else:
-                stack.append(children(len(stack), partial))
-            while stack:
-                child = next(stack[-1], None)
-                if child is not None:
-                    partial = child
-                    break
-                stack.pop()
-            else:
-                return found
-
-
 def _pair_tables(
     instance: ScoredInstance,
     constraints: ConstraintSet,
@@ -540,25 +490,6 @@ def _label_orders(logits: np.ndarray) -> list[list[int]]:
         sorted(range(logits.shape[1]), key=lambda c: (-logits[i, c], c))
         for i in range(logits.shape[0])
     ]
-
-
-def _interval_tables(
-    spans: Sequence[tuple[int, int]],
-) -> tuple[list[np.ndarray], list[list[int]]]:
-    """Weighted-interval-scheduling layouts for every suffix of spans.
-
-    For each k, items[k] lists the positions k.. of spans (as offsets from
-    k) sorted by (end, start, position), and pred[k][i] counts the items
-    of that list that end strictly before item i starts.
-    """
-    by_end = sorted(range(len(spans)), key=lambda j: (spans[j][1], spans[j][0], j))
-    items, pred = [], []
-    for k in range(len(spans)):
-        mine = [j for j in by_end if j >= k]
-        ends = [spans[j][1] for j in mine]
-        items.append(np.array(mine, dtype=np.intp) - k)
-        pred.append([bisect_right(ends, spans[j][0] - 1) for j in mine])
-    return items, pred
 
 
 # Sums past the float64 range stay silent here: decode() rejects an
@@ -633,12 +564,15 @@ def _typing_search(
         )
         for k in range(s)
     ]
-    items, pred = _interval_tables(by_depth) if non_overlap else ([], [])
+    # weighted-interval-scheduling layout of every suffix of the depths
+    layouts = []
+    for k in range(s if non_overlap else 0):
+        order, pred = _interval_layout(by_depth[k:])
+        layouts.append((np.array(order, dtype=np.intp), pred))
     # typed decided spans overlapping each depth; stays 0 without non-overlap
     blocked = np.zeros(s, dtype=np.intp)
-
     labels = [NULL] * s
-    search = _BranchAndBound(labels, budget, name)
+    best = -math.inf  # the incumbent's objective
 
     def promising(k: int, partial: float) -> bool:
         """Whether depth k onward may still beat the incumbent strictly.
@@ -650,28 +584,25 @@ def _typing_search(
         NaN bound from overflowed sums never prunes.
         """
         if k == s:
-            return not partial <= search.best
+            return not partial <= best
         rest = rows[k:]
         if not non_overlap or n_ent == 1:
-            return not partial + float(rest.max(axis=1).sum()) <= search.best
+            return not partial + float(rest.max(axis=1).sum()) <= best
         base = partial + float(rest[:, NULL].sum())
         gains = rest[:, 1:].max(axis=1) - rest[:, NULL]
         gains[blocked[k:] > 0] = 0.0
         np.maximum(gains, 0.0, out=gains)
         total = float(gains.sum())
-        if base + total <= search.best:
+        if base + total <= best:
             return False
         if total != total:  # an overflowed row; nothing to bound with
             return True
-        w = gains[items[k]].tolist()
-        back = pred[k]
-        dp = [0.0] * (len(w) + 1)
-        for i, wi in enumerate(w):
-            take = dp[back[i]] + wi
-            dp[i + 1] = take if take > dp[i] else dp[i]
-        return not base + dp[-1] <= search.best
+        order, pred = layouts[k]
+        return not base + _interval_dp(gains[order].tolist(), pred)[-1] <= best
 
     def children(k: int, partial: float) -> Iterator[float]:
+        """Decide depth k: per label, apply it, yield the child's partial
+        objective when the child is worth entering, and undo it."""
         sp = span_order[k]
         update = updates[k]
         typed_ok = not blocked[k]
@@ -699,9 +630,29 @@ def _typing_search(
                 rows[later] = saved
         labels[sp] = NULL
 
-    found = search.run(s, children)
-    assert found is not None
-    return found, search.best
+    # The walk: one generator per decided depth.  A node counts on entry,
+    # the root included, and a leaf snapshots the labels.
+    found: list[int] = []
+    stack: list[Iterator[float]] = []
+    partial = 0.0
+    nodes = 0
+    while True:
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(f"{name} search expanded more than {budget} nodes")
+        if len(stack) == s:
+            if partial > best:
+                best, found = partial, labels.copy()
+        else:
+            stack.append(children(len(stack), partial))
+        while stack:
+            child = next(stack[-1], None)
+            if child is not None:
+                partial = child
+                break
+            stack.pop()
+        else:
+            return found, best
 
 
 # ---------------------------------------------------------------------------
@@ -796,27 +747,24 @@ def relation_first_decode(
     all other spans free: the typing search over the chosen pairs alone,
     each worth 0 at a whitelisted typing and -inf at any other typed one.
     Forced spans come first and never try null, then the rest by
-    descending logit spread.  Without the endpoint rule stage 1 is a
-    per-pair argmax and stage 2 forces nothing.  Each stage gets the full
-    budget.  The reported score is the full objective of the final
-    structure, bias included when in use.
+    descending logit spread.  Without the endpoint rule a pair with a null
+    endpoint is worth its raw-logit maximum, so null dominates every typed
+    label in stage 1, which then returns each pair's raw argmax; stage 2
+    forces no span but still keeps the whitelist between typed endpoints.
+    Each stage gets the full budget.  The reported score is the full
+    objective of the final structure, bias included when in use.
     """
     ent = instance.entity_logits
     s, n_ent = ent.shape
     pairs = instance.pairs
-    if constraints.consistency:
-        label_table, value_table = _pair_tables(instance, constraints, use_bias=False)
-        typing, _ = _typing_search(
-            instance.spans, pairs, np.zeros((s, n_ent)), value_table,
-            *_stage1_orders(value_table, pairs, s), constraints.non_overlap, budget, "relation",
-        )
-        rels = tuple(int(label_table[p, typing[h], typing[t]]) for p, (h, t) in enumerate(pairs))
-        chosen = [p for p, r in enumerate(rels) if r != NULL]
-    else:
-        rels = tuple(int(r) for r in instance.relation_logits.argmax(axis=1))
-        chosen = []
-
-    forced = {v for p in chosen for v in pairs[p]}
+    label_table, value_table = _pair_tables(instance, constraints, use_bias=False)
+    typing, _ = _typing_search(
+        instance.spans, pairs, np.zeros((s, n_ent)), value_table,
+        *_stage1_orders(value_table, pairs, s), constraints.non_overlap, budget, "relation",
+    )
+    rels = tuple(int(label_table[p, typing[h], typing[t]]) for p, (h, t) in enumerate(pairs))
+    chosen = [p for p, r in enumerate(rels) if r != NULL]
+    forced = {v for p in chosen for v in pairs[p]} if constraints.consistency else set()
     given = np.zeros((len(chosen), n_ent, n_ent))
     allowed = constraints.allowed[1:, 1:, [rels[p] for p in chosen]]
     given[:, 1:, 1:] = np.where(allowed.transpose(2, 0, 1), 0.0, -np.inf)
@@ -881,7 +829,6 @@ __all__ = [
     "decode",
     "entity_first_decode",
     "joint_decode",
-    "load_constraints",
     "max_weight_nonoverlap",
     "relation_first_decode",
     "spans_overlap",

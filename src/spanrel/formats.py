@@ -306,33 +306,38 @@ def _first_bad(items: list, spec) -> int:
     return lo
 
 
-def _first_error(validator, value: object, spec) -> tuple[list, str]:
-    """Location and message of the error jsonschema reports first for value,
-    which failed its bulk check.  The node's own keywords are walked first,
-    as their errors sit at the shortest location; then only the first bad
-    element, or the failing property whose name sorts first."""
+def _first_error(validator, value: object, spec) -> tuple[list, jsonschema.ValidationError]:
+    """Location and error jsonschema reports first for value, which failed
+    its bulk check.  The node's own keywords are walked first, as their
+    errors sit at the shortest location; then only the first bad element,
+    or the failing property whose name sorts first."""
     error = next(validator.evolve(schema=spec.own).iter_errors(value), None)
     if error is not None:
-        return [], error.message
+        return [], error
     if isinstance(spec, _LeafArray):
         step = _first_bad(value, spec.item)
         sub = spec.item
     else:  # a record; a scalar always fails on its own keywords
         step = min(k for k, f in spec.fields.items() if k in value and not _column_ok([value[k]], f))
         sub = spec.fields[step]
-    where, message = _first_error(validator, value[step], sub)
-    return [step, *where], message
+    where, error = _first_error(validator, value[step], sub)
+    return [step, *where], error
 
 
-def _message(error: jsonschema.ValidationError) -> str:
-    """jsonschema's message, but a document of the wrong type is named by
-    its JSON type rather than printed whole."""
-    if error.path or error.validator != "type" or not isinstance(error.instance, (list, dict)):
+_SHOWN_MAX = 80  # the longest repr of an array or object a message prints
+
+
+def _message(error: jsonschema.ValidationError, whole: bool) -> str:
+    """jsonschema's message, but an array or object that heads it is named
+    by its JSON type when it is the whole document or its repr is long."""
+    value = error.instance
+    shown = repr(value) if isinstance(value, (list, dict)) else None
+    if shown is None or not error.message.startswith(shown):
         return error.message
-    types = error.validator_value
-    types = [types] if isinstance(types, str) else types
-    kind = "an array" if isinstance(error.instance, list) else "an object"
-    return f"{kind} is not of type {', '.join(map(repr, types))}"
+    if len(shown) <= _SHOWN_MAX and not whole:
+        return error.message
+    kind = "an array" if isinstance(value, list) else "an object"
+    return kind + error.message[len(shown):]
 
 
 def validate_document(doc: object, schema_name: str) -> None:
@@ -350,9 +355,10 @@ def validate_document(doc: object, schema_name: str) -> None:
     jsonschema walks just that element, so the location and message are
     the ones a full walk reports first.  Beyond the schema, every number
     must be finite and an integer may not be written as 1.0; a document of
-    the wrong type is named by its JSON type, not printed."""
+    the wrong type, or a long array or object, is named by its JSON type,
+    not printed."""
     validator, tree = _checker(schema_name)
-    errors = [(list(e.absolute_path), _message(e)) for e in validator.iter_errors(doc)]
+    errors = [(list(e.absolute_path), e) for e in validator.iter_errors(doc)]
     columns: dict = {}
     if tree:
         _collect(doc, tree, (), columns)
@@ -361,10 +367,11 @@ def validate_document(doc: object, schema_name: str) -> None:
             path, value = min(
                 ((p, v) for p, v in members if not _column_ok([v], spec)), key=lambda m: m[0]
             )
-            where, message = _first_error(validator, value, spec)
-            errors.append(([*path, *where], message))
+            where, error = _first_error(validator, value, spec)
+            errors.append(([*path, *where], error))
     if errors:
-        where, message = min(errors, key=lambda e: e[0])
+        where, error = min(errors, key=lambda e: e[0])
+        message = _message(error, whole=not where)
         where = "/".join(str(p) for p in where) or "<root>"
         raise FormatError(f"invalid {schema_name} document at {where}: {message}")
 

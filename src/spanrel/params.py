@@ -7,7 +7,8 @@ validates every shape against the declared dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -139,59 +140,29 @@ def init_params(
     )
 
 
-def _ffn_to_json(p: FeedForwardParams) -> dict:
-    return {"w1": p.w1.tolist(), "b1": p.b1.tolist(), "w2": p.w2.tolist(), "b2": p.b2.tolist()}
+def to_json(group) -> dict:
+    """A weight group or bias table (a dataclass of arrays) as nested lists
+    keyed by field name."""
+    return {f.name: getattr(group, f.name).tolist() for f in fields(group)}
 
 
-def _ffn_from_json(obj: dict) -> FeedForwardParams:
-    return FeedForwardParams(
-        w1=np.asarray(obj["w1"]),
-        b1=np.asarray(obj["b1"]),
-        w2=np.asarray(obj["w2"]),
-        b2=np.asarray(obj["b2"]),
-    )
-
-
-def _attn_to_json(p: AttentionWeights) -> dict:
-    return {"wq": p.wq.tolist(), "wk": p.wk.tolist(), "wv": p.wv.tolist(), "wo": p.wo.tolist()}
-
-
-def _attn_from_json(obj: dict) -> AttentionWeights:
-    return AttentionWeights(
-        wq=np.asarray(obj["wq"]),
-        wk=np.asarray(obj["wk"]),
-        wv=np.asarray(obj["wv"]),
-        wo=np.asarray(obj["wo"]),
-    )
-
-
-def bias_to_json(table: BiasTable) -> dict:
-    return {
-        "joint": table.joint.tolist(),
-        "head_relation": table.head_relation.tolist(),
-        "tail_relation": table.tail_relation.tolist(),
-        "head_tail": table.head_tail.tolist(),
-    }
+def from_json(cls, obj: dict):
+    """The inverse of to_json; cls re-validates every shape."""
+    return cls(**{f.name: np.asarray(obj[f.name]) for f in fields(cls)})
 
 
 def bias_from_json(obj: dict) -> BiasTable:
-    return BiasTable(
-        joint=np.asarray(obj["joint"]),
-        head_relation=np.asarray(obj["head_relation"]),
-        tail_relation=np.asarray(obj["tail_relation"]),
-        head_tail=np.asarray(obj["head_tail"]),
-    )
+    return from_json(BiasTable, obj)
 
 
-_FFN_FIELDS = (
-    "entity_head",
-    "relation_head",
-    "span_filter",
-    "relation_filter",
-    "span_process_ffn",
-    "relation_process_ffn",
-)
-_ATTN_FIELDS = ("span_read", "span_process_attn", "relation_read", "relation_process_attn")
+bias_to_json = to_json
+
+# ModelParams fields that hold a weight group or the bias tables
+_GROUPS = {
+    name: cls
+    for name, cls in get_type_hints(ModelParams).items()
+    if cls in (FeedForwardParams, AttentionWeights, BiasTable)
+}
 
 
 def params_to_json(params: ModelParams) -> dict:
@@ -205,12 +176,8 @@ def params_to_json(params: ModelParams) -> dict:
         "relation_types": list(params.inventory.relation_types),
         "span_proj": params.span_proj.tolist(),
         "relation_proj": params.relation_proj.tolist(),
-        "bias": bias_to_json(params.bias),
     }
-    for name in _FFN_FIELDS:
-        doc[name] = _ffn_to_json(getattr(params, name))
-    for name in _ATTN_FIELDS:
-        doc[name] = _attn_to_json(getattr(params, name))
+    doc.update((name, to_json(getattr(params, name))) for name in _GROUPS)
     return doc
 
 
@@ -226,10 +193,6 @@ def params_from_json(doc: dict) -> ModelParams:
         "inventory": inventory,
         "span_proj": np.asarray(doc["span_proj"]),
         "relation_proj": np.asarray(doc["relation_proj"]),
-        "bias": bias_from_json(doc["bias"]),
     }
-    for name in _FFN_FIELDS:
-        kwargs[name] = _ffn_from_json(doc[name])
-    for name in _ATTN_FIELDS:
-        kwargs[name] = _attn_from_json(doc[name])
+    kwargs.update((name, from_json(cls, doc[name])) for name, cls in _GROUPS.items())
     return ModelParams(**kwargs)

@@ -222,7 +222,9 @@ def oracle_relation_first(
     never breaks it, so prefix pruning discards no feasible completion).
     Typing existence is tested by plain enumeration over the involved
     spans' typings, independent of the solver's search.  Stage 2
-    enumerates entity labelings outright, in the solver's order.  The
+    enumerates entity labelings outright, in the solver's order, keeping
+    the whitelist for every chosen relation between typed endpoints; the
+    endpoints are forced typed only under the endpoint rule.  The
     solver's stage 1 searches typings instead, so among exactly tied
     stage-1 optima the two may return different ones: they agree on
     labels wherever the stage-1 optimum is unique, and on the stage-1
@@ -296,16 +298,14 @@ def oracle_relation_first(
         assert found is not None
         best_rels = found
 
-    forced = (
-        [
-            (instance.pairs[p][0], instance.pairs[p][1], r)
-            for p, r in enumerate(best_rels)
-            if r != NULL
-        ]
-        if constraints.consistency
-        else []
+    chosen = [
+        (instance.pairs[p][0], instance.pairs[p][1], r)
+        for p, r in enumerate(best_rels)
+        if r != NULL
+    ]
+    forced_spans = (
+        {v for h, t, _ in chosen for v in (h, t)} if constraints.consistency else set()
     )
-    forced_spans = {v for h, t, _ in forced for v in (h, t)}
     s = len(instance.spans)
     ent = instance.entity_logits
     spread = ent.max(axis=1) - ent.min(axis=1)
@@ -327,7 +327,12 @@ def oracle_relation_first(
                 for a, b in itertools.combinations(live, 2)
             ):
                 continue
-        if any(not constraints.allows(labels[h], labels[t], r) for h, t, r in forced):
+        if any(
+            labels[h] != NULL
+            and labels[t] != NULL
+            and not constraints.allows(labels[h], labels[t], r)
+            for h, t, r in chosen
+        ):
             continue
         score = sum(float(ent[i, labels[i]]) for i in range(s))
         if score > best_ent_score:

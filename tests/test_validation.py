@@ -418,3 +418,26 @@ def test_a_document_of_the_wrong_type_is_named_not_printed(tmp_path, capsys):
     assert outcome({"sentences": {}}, "sentences") == (
         "invalid sentences document at sentences: {} is not of type 'array'"
     )
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        (
+            put("entity_types", lambda _: copy.deepcopy(DOCS["score"]["sentences"])),
+            "entity_types/0: an object is not of type 'string'",
+        ),
+        (
+            put("sentences/0/entity_logits/0/1", [0.5] * 5000),
+            "sentences/0/entity_logits/0/1: an array is not of type 'number'",
+        ),
+    ],
+    ids=["sentences-as-types", "long-list-as-number"],
+)
+def test_a_long_nested_value_is_named_not_printed(tmp_path, capsys, mutation, message):
+    path = tmp_path / "scores.json"
+    path.write_text(json.dumps(mutated("score", mutation)))
+    assert cli.main(["decode", str(path), "-o", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: invalid score document at {message}\n"
+    assert len(err.encode()) < 200
