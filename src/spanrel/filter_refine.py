@@ -1,9 +1,12 @@
 """Filter-and-refine: prune candidates to the top K by a learned ranking
 score, then enrich the survivors.
 
-Candidates come as an (N, D) matrix or as a PairGrid, whose N = K*K rows
-are ranked through the factored first layer of the ranking feed-forward;
-only the kept rows are ever built.
+Candidates come as an (N, D) matrix or as a factored grid (SpanRows or
+PairGrid), whose N rows are ranked through the factored first layer of the
+ranking feed-forward without being built; only the kept rows ever are.
+Either way the score's last layer is numerics.scalar_head, which gives
+equal rows equal scores, so ties go to the lower index as top_k_select
+promises.
 
 The refine step runs two attention blocks in order: a cross-attention pass
 over the token embeddings (the survivors read from the sentence) and a
@@ -24,8 +27,13 @@ from .numerics import (
     feed_forward,
     linear,
     multi_head_attention,
+    relu,
+    scalar_head,
 )
-from .representation import PairGrid
+from .representation import PairGrid, SpanRows
+
+# Candidates in factored form: ranked and built by the grid itself.
+Grid = (SpanRows, PairGrid)
 
 
 @dataclass(frozen=True)
@@ -47,20 +55,19 @@ class FilterResult:
 
 
 def ranking_scores(
-    z: np.ndarray | PairGrid,
+    z: np.ndarray | SpanRows | PairGrid,
     filter_params: FeedForwardParams,
     valid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scalar ranking score per candidate; invalid candidates get the sentinel."""
-    if isinstance(z, PairGrid):
-        hidden = z.affine(filter_params.w1, filter_params.b1)
-        np.maximum(hidden, 0.0, out=hidden)  # ReLU in place on the K*K-row buffer
-        scores = linear(hidden, filter_params.w2, filter_params.b2)[:, 0]
+    if isinstance(z, Grid):
+        scores = z.rank(filter_params)
     else:
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[0] < 1:
             raise ValueError("need at least one candidate representation")
-        scores = feed_forward(z, filter_params)[:, 0]
+        hidden = relu(linear(z, filter_params.w1, filter_params.b1))
+        scores = scalar_head(hidden, filter_params) + filter_params.b2[0]
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
         if valid.shape != scores.shape:
@@ -69,7 +76,9 @@ def ranking_scores(
     return scores
 
 
-def top_k_select(z: np.ndarray | PairGrid, scores: np.ndarray, k: int) -> FilterResult:
+def top_k_select(
+    z: np.ndarray | SpanRows | PairGrid, scores: np.ndarray, k: int
+) -> FilterResult:
     """Keep the k highest-scoring valid candidates (score above the sentinel).
 
     Ties break toward the lower index; k larger than the valid count clamps.
@@ -88,7 +97,7 @@ def top_k_select(z: np.ndarray | PairGrid, scores: np.ndarray, k: int) -> Filter
         above = scores > cut
         above[np.flatnonzero(scores == cut)[: m - int(above.sum())]] = True
         kept = np.flatnonzero(above)
-    if isinstance(z, PairGrid):
+    if isinstance(z, Grid):
         rows = z.rows(kept)
     else:
         rows = np.asarray(z, dtype=np.float64)[kept]
@@ -127,7 +136,7 @@ def process(
 
 
 def filter_and_refine(
-    z: np.ndarray | PairGrid,
+    z: np.ndarray | SpanRows | PairGrid,
     tokens: np.ndarray,
     k: int,
     filter_params: FeedForwardParams,

@@ -1,16 +1,23 @@
 """Dense numeric kernels shared by the scoring pipeline.
 
 Everything here is a pure function over float64 numpy arrays: affine maps,
-masked softmax, scaled dot-product multi-head attention, and two-layer
-feed-forward blocks with ReLU.  No layer normalization and no dropout
-anywhere; attention and feed-forward outputs are consumed through plain
-residual adds by the callers.  Identical inputs give bitwise-identical
-outputs on a given platform.
+masked softmax, scaled dot-product multi-head attention, two-layer
+feed-forward blocks with ReLU, and the scalar head that ranking scores
+come from.  No layer normalization and no dropout anywhere; attention and
+feed-forward outputs are consumed through plain residual adds by the
+callers.  Identical inputs give bitwise-identical outputs on a given
+platform.
+
+The scalar head sums each row with np.einsum rather than a BLAS gemv: a
+gemv rounds a row by where it sits (OpenBLAS treats the last N mod 4 rows
+apart), so equal rows could score unequal and break top-k ties.  einsum
+sums every row in the same order, so equal rows give equal scores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,10 +84,16 @@ def softmax(v: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Stabilized softmax over the last axis."""
-    m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_rows_in_place(np.array(m, dtype=np.float64))
+
+
+def _softmax_rows_in_place(m: np.ndarray) -> np.ndarray:
+    """softmax_rows(m), written over m: attention over K x L keys then holds
+    one heads x K x L buffer, not four."""
+    m -= m.max(axis=-1, keepdims=True)
+    np.exp(m, out=m)
+    m /= m.sum(axis=-1, keepdims=True)
+    return m
 
 
 @dataclass(frozen=True)
@@ -88,7 +101,9 @@ class AttentionWeights:
     """Per-head projection matrices for multi-head attention.
 
     wq, wk, wv have shape (heads, dim, head_dim); wo has shape
-    (heads, head_dim, dim).  heads * head_dim must equal dim.
+    (heads, head_dim, dim).  heads * head_dim must equal dim.  wqkv stacks
+    the three input projections, head by head, into one (dim, 3 * dim)
+    matrix, so one product projects queries, keys and values.
     """
 
     wq: np.ndarray
@@ -119,6 +134,16 @@ class AttentionWeights:
     def head_dim(self) -> int:
         return self.wq.shape[2]
 
+    @cached_property
+    def wqkv(self) -> np.ndarray:
+        """[wq[0] .. wq[h-1] | wk[0] .. | wv[0] ..], shaped (dim, 3 * dim)."""
+        return np.concatenate([*self.wq, *self.wk, *self.wv], axis=1)
+
+
+def _split_heads(x: np.ndarray, parts: int, heads: int) -> np.ndarray:
+    """(N, parts * heads * head_dim) -> (parts, heads, N, head_dim), as a view."""
+    return x.reshape(x.shape[0], parts, heads, -1).transpose(1, 2, 0, 3)
+
 
 def multi_head_attention(
     queries: np.ndarray, keys_values: np.ndarray, params: AttentionWeights
@@ -134,11 +159,18 @@ def multi_head_attention(
     if kv.shape[0] == 0:
         raise ValueError("attention needs at least one key/value position")
     scale = 1.0 / np.sqrt(float(params.head_dim))
-    # Every head at once: (Q, dim) @ (heads, dim, head_dim) -> (heads, Q, head_dim).
-    qh = q @ params.wq
-    kh = kv @ params.wk
-    vh = kv @ params.wv
-    attn = softmax_rows(qh @ kh.transpose(0, 2, 1) * scale)
+    # Every head at once from the stacked projection, in one product when
+    # keys_values is queries (self-attention); a column of a product is the
+    # same dot product however many columns sit beside it.
+    d, w, h = params.dim, params.wqkv, params.heads
+    if kv is q:
+        qh, kh, vh = _split_heads(q @ w, 3, h)
+    else:
+        (qh,) = _split_heads(q @ w[:, :d], 1, h)
+        kh, vh = _split_heads(kv @ w[:, d:], 2, h)
+    logits = qh @ kh.transpose(0, 2, 1)
+    logits *= scale
+    attn = _softmax_rows_in_place(logits)
     out = np.zeros_like(q)
     for head_out in (attn @ vh) @ params.wo:  # summed in head order
         out += head_out
@@ -183,3 +215,12 @@ def feed_forward(x: np.ndarray, params: FeedForwardParams) -> np.ndarray:
     """linear -> ReLU -> linear."""
     x = as_matrix(x, cols=params.in_dim)
     return linear(relu(linear(x, params.w1, params.b1)), params.w2, params.b2)
+
+
+def scalar_head(hidden: np.ndarray, params: FeedForwardParams) -> np.ndarray:
+    """hidden @ w2 for a one-column second layer, over hidden's last axis,
+    summed row by row in one order wherever the row sits (see the module
+    docstring); the bias b2 is the caller's to add."""
+    if params.out_dim != 1:
+        raise ValueError("the scalar head needs a one-column second layer")
+    return np.einsum("...h,h->...", hidden, params.w2[:, 0])

@@ -1,13 +1,13 @@
 """End-to-end forward pass for one sentence.
 
 Tokens are hash-encoded into embeddings, every span up to the width limit
-is represented and pruned to the top K, survivors are classified into
-entity logits, ordered pairs of survivors repeat the same filter/classify
-cycle for relations, and the result is packed into a ScoredInstance ready
-for any decoder.  The pair grid stays in factored form (PairGrid): its
-K*K rows are ranked without being built, and only the kept ones are.
-Pure function of (tokens, params, config): identical inputs give
-bit-identical outputs.
+is ranked and pruned to the top K, survivors are classified into entity
+logits, ordered pairs of survivors repeat the same filter/classify cycle
+for relations, and the result is packed into a ScoredInstance ready for
+any decoder.  Both candidate grids stay in factored form (SpanRows,
+PairGrid): their L*M and K*K rows are ranked without being built, and
+only the kept ones are.  Pure function of (tokens, params, config):
+identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -15,12 +15,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .decode import ALGORITHMS, ScoredInstance
 from .filter_refine import FilterResult, filter_and_refine
 from .params import ModelParams
-# forward does not call relation_representations (see there), but every
-# representation step stays importable here, where perfbench/spantrace.py
-# wraps this module's names.
+# forward calls neither span_representations nor relation_representations
+# (their rows come from span_rows and pair_grid), but every representation
+# step stays importable here, where perfbench/spantrace.py wraps this
+# module's names.
 from .representation import (  # noqa: F401
     SpanCandidate,
     SpanGrid,
@@ -33,6 +36,7 @@ from .representation import (  # noqa: F401
     pair_grid,
     relation_representations,
     span_representations,
+    span_rows,
     valid_span_count,
 )
 
@@ -128,14 +132,15 @@ def forward(
     emb = encode_tokens(tokens, params.dim, config.seed)
     length = emb.length
     spans = SpanGrid(length, params.max_span_width)
-    span_reps = span_representations(emb, spans, params.span_proj)
+    # The rows of span_representations, without building all L*M of them.
+    span_cells = span_rows(emb, spans, params.span_proj)
     k_span = (
         config.k_span
         if config.k_span is not None
         else default_k_span(length, params.max_span_width)
     )
     span_fr = filter_and_refine(
-        span_reps,
+        span_cells,
         emb.vectors,
         k_span,
         params.span_filter,
@@ -163,11 +168,13 @@ def forward(
     )
     relation_logits = classify_relations(pair_fr.representations, params.relation_head)
 
+    kept_spans = np.array(span_fr.kept_indices, dtype=np.intp)
+    heads, tails = np.divmod(np.array(pair_fr.kept_indices, dtype=np.intp), pairs.k)
     instance = ScoredInstance(
         length=length,
-        spans=tuple(spans.span(i) for i in span_fr.kept_indices),
+        spans=tuple(zip(spans.starts[kept_spans].tolist(), spans.ends[kept_spans].tolist())),
         entity_logits=entity_logits,
-        pairs=tuple(pair_from_index(j, pairs.k) for j in pair_fr.kept_indices),
+        pairs=tuple(zip(heads.tolist(), tails.tolist())),
         relation_logits=relation_logits,
         inventory=params.inventory,
         bias=params.bias,

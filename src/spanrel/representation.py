@@ -11,9 +11,12 @@ candidates over K spans are the K*K ordered pairs in head-major order
 Span and pair rows are projections of concat(left, right) through a 2D x D
 matrix, computed in factored form: the row for (a, b) is L[a] + R[b] with
 L = X @ W[:D] and R = X @ W[D:], so each endpoint is projected once.  The
-forward pass never materializes the K*K pair grid: PairGrid holds the two
-K x D factors, ranks pairs through the factored first layer of the ranking
-feed-forward and builds D-wide rows only for the pairs it keeps.
+forward pass builds neither the L*M span matrix nor the K*K pair grid.
+SpanRows and PairGrid hold the two factors of their grid and rank every
+cell through the factored first layer of the ranking feed-forward,
+(L @ W1 + b1)[a] + (R @ W1)[b]; D-wide rows are built only for the cells
+kept.  The pair grid is ranked a block of head rows at a time through one
+fixed buffer, so its memory grows with K, not K*K.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .numerics import feed_forward, make_rng
+from .numerics import NEG_SENTINEL, FeedForwardParams, feed_forward, make_rng, scalar_head
 
 # Token vectors cached per (token, dim, seed); about 5 MB at dim 64.
 TOKEN_CACHE_SIZE = 8192
+# Head rows of the pair grid ranked per step: the ranking buffer is
+# PAIR_BLOCK x K x hidden floats.
+PAIR_BLOCK = 16
 
 NULL_ENTITY = "non-entity"
 NULL_RELATION = "no-relation"
@@ -116,8 +122,8 @@ def encode_tokens(tokens, dim: int, seed: int = 0) -> TokenEmbeddings:
         raise ValueError("token list must be non-empty")
     if dim < 1:
         raise ValueError("dim must be positive")
-    # np.stack copies, so callers never hold the cached (read-only) rows.
-    vectors = np.stack([_token_vector(tok, dim, seed) for tok in tokens])
+    # np.array copies, so callers never hold the cached (read-only) rows.
+    vectors = np.array([_token_vector(tok, dim, seed) for tok in tokens])
     return TokenEmbeddings(tokens, vectors)
 
 
@@ -161,11 +167,6 @@ class SpanGrid:
         object.__setattr__(self, "ends", starts + widths)
         object.__setattr__(self, "valid", self.ends < self.length)
 
-    def span(self, index: int) -> tuple[int, int]:
-        """(start, end) of grid index `index`."""
-        start, width = divmod(index, self.max_width)
-        return start, start + width
-
 
 def enumerate_spans(length: int, max_width: int) -> list[SpanCandidate]:
     """All L*M candidates ordered by (start, width); (i, i+w) is invalid iff
@@ -183,13 +184,51 @@ def valid_span_count(length: int, max_width: int) -> int:
     return sum(min(max_width, length - i) for i in range(length))
 
 
-def _endpoint_factors(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x @ w[:D], x @ w[D:]) for a 2D x D matrix w: the left and right
-    factors of concat(x[a], x[b]) @ w = left[a] + right[b]."""
+def _endpoint_factors(
+    x: np.ndarray, w: np.ndarray, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x @ w[:D], x @ w[D:]) for the 2D x D matrix w called `name`: the
+    left and right factors of concat(x[a], x[b]) @ w = left[a] + right[b]."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     d = x.shape[1]
+    if w.shape != (2 * d, d):
+        raise ValueError(f"{name} shape {w.shape} != {(2 * d, d)}")
     return x @ w[:d], x @ w[d:]
+
+
+@dataclass(frozen=True)
+class SpanRows:
+    """The rows of a SpanGrid, concat(x[start], x[end]) @ w_ent, in factored
+    form: row i is left[starts[i]] + right[ends[i]]; no L*M x D matrix is
+    built unless rows() is asked for every index."""
+
+    grid: SpanGrid
+    left: np.ndarray  # (L, D) embeddings @ w_ent[:D]
+    right: np.ndarray  # (L, D) embeddings @ w_ent[D:]
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """Representation rows of the given grid indices (valid ones only)."""
+        index = np.asarray(index, dtype=np.intp)
+        return self.left[self.grid.starts[index]] + self.right[self.grid.ends[index]]
+
+    def rank(self, ffn: FeedForwardParams) -> np.ndarray:
+        """Ranking score of every grid cell, the sentinel on invalid ones,
+        through the factored first layer: no L*M x D x hidden product."""
+        valid = self.grid.valid
+        hidden = (self.left @ ffn.w1 + ffn.b1)[self.grid.starts[valid]]
+        hidden += (self.right @ ffn.w1)[self.grid.ends[valid]]
+        np.maximum(hidden, 0.0, out=hidden)
+        scores = np.full(valid.shape, NEG_SENTINEL)
+        scores[valid] = scalar_head(hidden, ffn) + ffn.b2[0]
+        return scores
+
+
+def span_rows(embeddings: TokenEmbeddings, grid: SpanGrid, w_ent: np.ndarray) -> SpanRows:
+    """The factored rows of the span grid over one sentence's embeddings."""
+    if grid.length != embeddings.length:
+        raise ValueError("span grid length does not match the sentence")
+    return SpanRows(grid, *_endpoint_factors(embeddings.vectors, w_ent, "w_ent"))
 
 
 def span_representations(
@@ -198,12 +237,9 @@ def span_representations(
     """Project concat(start embedding, end embedding) through w_ent (2D x D).
 
     Row k corresponds to spans[k] (a SpanGrid or any list of candidates);
-    invalid candidates get a zero row.
+    invalid candidates get a zero row.  Rows equal span_rows(...).rows().
     """
-    w_ent = np.asarray(w_ent, dtype=np.float64)
-    d = embeddings.dim
-    if w_ent.shape != (2 * d, d):
-        raise ValueError(f"w_ent shape {w_ent.shape} != {(2 * d, d)}")
+    left, right = _endpoint_factors(embeddings.vectors, w_ent, "w_ent")
     if isinstance(spans, SpanGrid):
         starts, ends, valid = spans.starts, spans.ends, spans.valid
     else:
@@ -211,11 +247,10 @@ def span_representations(
         ends = np.array([s.end for s in spans], dtype=np.int64)
         valid = np.array([s.valid for s in spans], dtype=bool)
     starts, ends = starts[valid], ends[valid]
-    out = np.zeros((len(valid), d), dtype=np.float64)
+    out = np.zeros((len(valid), embeddings.dim), dtype=np.float64)
     if starts.size:
         if starts.min() < 0 or ends.max() >= embeddings.length:
             raise IndexError("span index out of range for the sentence")
-        left, right = _endpoint_factors(embeddings.vectors, w_ent)
         out[valid] = left[starts] + right[ends]
     return out
 
@@ -254,13 +289,24 @@ class PairGrid:
         heads, tails = np.divmod(np.asarray(index, dtype=np.int64), self.k)
         return self.head_part[heads] + self.tail_part[tails]
 
-    def affine(self, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """rows(all) @ w + bias, shaped (K*K, w's width), computed as
-        (head_part @ w + bias)[head] + (tail_part @ w)[tail]: K*K adds per
-        output column instead of a K*K x D x width product."""
-        head = self.head_part @ w + bias
-        tail = self.tail_part @ w
-        return (head[:, None, :] + tail[None, :, :]).reshape(self.k * self.k, -1)
+    def rank(self, ffn: FeedForwardParams) -> np.ndarray:
+        """Ranking score of every pair in flat-index order, self-pairs
+        included, through the factored first layer a = head_part @ W1 + b1,
+        b = tail_part @ W1.  Scores w2 . relu(a + b) are summed as
+        w2 . max(a, -b) + w2 . b, one pass over a PAIR_BLOCK x K x hidden
+        buffer per block of head rows, instead of a K*K x hidden one."""
+        k = self.k
+        a = self.head_part @ ffn.w1 + ffn.b1
+        b = self.tail_part @ ffn.w1
+        neg_b = -b
+        buf = np.empty((min(PAIR_BLOCK, k), k, a.shape[1]))
+        scores = np.empty((k, k))
+        for lo in range(0, k, PAIR_BLOCK):
+            block = buf[: min(PAIR_BLOCK, k - lo)]
+            np.maximum(a[lo : lo + PAIR_BLOCK, None, :], neg_b[None, :, :], out=block)
+            scores[lo : lo + len(block)] = scalar_head(block, ffn)
+        scores += scalar_head(b, ffn) + ffn.b2[0]
+        return scores.ravel()
 
     def valid(self) -> np.ndarray:
         """Flat mask of off-diagonal (head != tail) pairs."""
@@ -273,12 +319,7 @@ class PairGrid:
 
 def pair_grid(span_reps: np.ndarray, w_rel: np.ndarray) -> PairGrid:
     """The factored K*K pair grid over K span representations."""
-    span_reps = np.asarray(span_reps, dtype=np.float64)
-    d = span_reps.shape[1]
-    w_rel = np.asarray(w_rel, dtype=np.float64)
-    if w_rel.shape != (2 * d, d):
-        raise ValueError(f"w_rel shape {w_rel.shape} != {(2 * d, d)}")
-    return PairGrid(*_endpoint_factors(span_reps, w_rel))
+    return PairGrid(*_endpoint_factors(span_reps, w_rel, "w_rel"))
 
 
 def relation_representations(
@@ -409,12 +450,14 @@ __all__ = [
     "TokenEmbeddings",
     "SpanCandidate",
     "SpanGrid",
+    "SpanRows",
     "PairGrid",
     "BiasTable",
     "encode_tokens",
     "enumerate_spans",
     "valid_span_count",
     "span_representations",
+    "span_rows",
     "pair_index",
     "pair_from_index",
     "pair_grid",

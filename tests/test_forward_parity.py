@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,7 @@ from spanrel import (
     loss_from_forward,
     make_rng,
     softmax_rows,
+    valid_span_count,
 )
 from spanrel.pipeline import default_k_span
 
@@ -184,7 +186,18 @@ CASES = {
     "seed3": (_sentence(20, 7), RunConfig(seed=3)),
     "k-overrides": (_sentence(25, 8), RunConfig(k_span=5, k_rel=7)),
     "k-over-valid": (_sentence(4, 9), RunConfig(k_span=50, k_rel=200)),
+    # K kept spans around the 16-head-row blocks the pair grid is ranked in
+    "k1": (_sentence(40, 10), RunConfig(k_span=1)),
+    "k15": (_sentence(40, 11), RunConfig(k_span=15, k_rel=15)),
+    "k16": (_sentence(40, 12), RunConfig(k_span=16, k_rel=16)),
+    "k17": (_sentence(40, 13), RunConfig(k_span=17, k_rel=17)),
+    "k33": (_sentence(50, 14), RunConfig(k_span=33, k_rel=33)),
+    # odd grids, where a BLAS gemv rounds the last rows apart
+    "odd-w1": (_sentence(37, 15), RunConfig()),
+    "odd-w3": (_sentence(23, 16), RunConfig()),
 }
+# Cases run with another max_span_width than the fixture's 12.
+WIDTHS = {"odd-w1": 1, "odd-w3": 3}
 
 
 def _assert_close(a, b):
@@ -196,6 +209,8 @@ def _assert_close(a, b):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_forward_matches_reference(params, case):
     tokens, config = CASES[case]
+    if case in WIDTHS:
+        params = dataclasses.replace(params, max_span_width=WIDTHS[case])
     got = forward(tokens, params, config)
     ref = ref_forward(tokens, params, config)
     assert np.array_equal(got.embeddings.vectors, ref.embeddings.vectors)
@@ -213,6 +228,14 @@ def test_forward_matches_reference(params, case):
     _assert_close(got.instance.relation_logits, ref.instance.relation_logits)
 
 
+def _equal_within_groups(keys, values):
+    """True when every group of equal keys holds one value."""
+    order = np.lexsort((values, keys))
+    keys, values = keys[order], values[order]
+    same_key = keys[1:] == keys[:-1]
+    return bool(np.all(values[1:][same_key] == values[:-1][same_key]))
+
+
 def test_repeated_tokens_tie_exactly(params):
     """Spans over equal tokens rank equal, and the lower index wins."""
     tokens, config = CASES["one-word"]
@@ -220,6 +243,45 @@ def test_repeated_tokens_tie_exactly(params):
     width = params.max_span_width
     # every valid span of one width has the same start and end vectors
     assert len({float(scores[i * width]) for i in range(len(tokens))}) == 1
+
+    # Every grid shape and cut: equal rows score equal wherever they sit.
+    for width in (1, 3, 5, 12):
+        p = dataclasses.replace(params, max_span_width=width)
+        for length in range(1, 41):
+            n_valid = valid_span_count(length, width)
+            for k_span in sorted({1, 2, 3, 5, 16, 17, n_valid} & set(range(1, n_valid + 1))):
+                got = forward(("x",) * length, p, RunConfig(k_span=k_span))
+                where = (width, length, k_span)
+                spans = got.span_filter
+                valid = spans.ranking_scores > NEG_SENTINEL
+                # all tokens are equal, so every valid span has equal endpoints
+                assert len(set(spans.ranking_scores[valid].tolist())) == 1, where
+                assert spans.kept_indices == tuple(np.flatnonzero(valid)[:k_span].tolist()), where
+                starts = sorted({s for s, _ in got.instance.spans})
+                assert starts == list(range(len(starts))), where
+                # pairs whose endpoint rows are equal score equal
+                reps = spans.representations
+                _, row_id = np.unique(reps, axis=0, return_inverse=True)
+                heads, tails = np.divmod(np.arange(len(reps) ** 2), len(reps))
+                live = heads != tails
+                keys = (row_id.ravel()[heads] * len(reps) + row_id.ravel()[tails])[live]
+                pair_scores = got.pair_filter.ranking_scores[live]
+                assert _equal_within_groups(keys, pair_scores), where
+
+
+def test_forward_memory_is_bounded(params):
+    """Both grids are ranked in factored form, the pair grid a block of head
+    rows at a time, so forward's peak grows with K*L, not K*K*hidden: about
+    13.7 MB at L = 320, where ranking the whole pair grid at once took 60 MB."""
+    tokens = _sentence(320, 17, vocab_size=2000)
+    forward(tokens, params)  # token vectors and stacked weights are cached
+    tracemalloc.start()
+    try:
+        forward(tokens, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6, f"forward peak {peak / 1e6:.1f} MB at L = 320"
 
 
 def test_candidates_are_built_on_access(params):

@@ -15,7 +15,7 @@ from spanrel import (
     softmax,
     softmax_rows,
 )
-from spanrel.numerics import as_matrix, linear, relu
+from spanrel.numerics import as_matrix, linear, relu, scalar_head
 
 
 def test_make_rng_repeatable():
@@ -164,6 +164,49 @@ def test_multi_head_is_sum_of_heads():
         vh = kv @ params.wv[h]
         total += (attn[h] @ vh) @ params.wo[h]
     assert np.allclose(out, total, atol=1e-12)
+
+
+def test_stacked_projection_and_self_attention():
+    rng = make_rng(8)
+    params = _rand_attention(rng, dim=8, heads=2)
+    # wqkv lays the per-head projections side by side: q heads, k heads, v heads
+    for i, w in enumerate((params.wq, params.wk, params.wv)):
+        for h in range(2):
+            cols = params.wqkv[:, i * 8 + h * 4 : i * 8 + (h + 1) * 4]
+            assert np.array_equal(cols, w[h])
+    x = rng.normal(size=(5, 8))
+    # self-attention (one stacked product) agrees with cross-attention on a copy
+    out, attn = multi_head_attention(x, x, params)
+    out2, attn2 = multi_head_attention(x, x.copy(), params)
+    assert np.allclose(out, out2, atol=1e-12)
+    assert np.allclose(attn, attn2, atol=1e-12)
+    total = np.zeros_like(x)
+    for h in range(2):
+        weights = softmax_rows((x @ params.wq[h]) @ (x @ params.wk[h]).T / np.sqrt(4))
+        assert np.allclose(attn[h], weights, atol=1e-12)
+        total += (weights @ (x @ params.wv[h])) @ params.wo[h]
+    assert np.allclose(out, total, atol=1e-12)
+
+
+def test_scalar_head_scores_equal_rows_equal():
+    rng = make_rng(9)
+    params = FeedForwardParams(
+        w1=rng.normal(size=(3, 64)),
+        b1=rng.normal(size=64),
+        w2=rng.normal(size=(64, 1)),
+        b2=rng.normal(size=1),
+    )
+    row = rng.normal(size=64)
+    seen = set()
+    for n in range(1, 20):
+        seen.update(scalar_head(np.tile(row, (n, 1)), params).tolist())
+        seen.update(scalar_head(np.tile(row, (n, 3, 1)), params).ravel().tolist())
+    assert len(seen) == 1
+    hidden = rng.normal(size=(7, 64))
+    assert np.allclose(scalar_head(hidden, params), hidden @ params.w2[:, 0], atol=1e-12)
+    wide = FeedForwardParams(params.w1, params.b1, rng.normal(size=(64, 2)), np.zeros(2))
+    with pytest.raises(ValueError):
+        scalar_head(hidden, wide)
 
 
 def test_feed_forward_matches_manual():

@@ -21,9 +21,11 @@ from spanrel import (
     pair_index,
     relation_representations,
     span_representations,
+    feed_forward,
     valid_span_count,
 )
-from spanrel.numerics import FeedForwardParams
+from spanrel.numerics import NEG_SENTINEL, FeedForwardParams
+from spanrel.representation import SpanGrid, pair_grid, span_rows
 
 
 def test_inventory_nulls_first():
@@ -90,6 +92,50 @@ def test_span_representations_endpoints():
     assert np.array_equal(reps[5], np.zeros(4))
     with pytest.raises(ValueError):
         span_representations(emb, spans, rng.normal(size=(4, 4)))
+
+
+def _ranking_ffn(rng, d, hidden=6):
+    return FeedForwardParams(
+        w1=rng.normal(size=(d, hidden)),
+        b1=rng.normal(size=hidden),
+        w2=rng.normal(size=(hidden, 1)),
+        b2=rng.normal(size=1),
+    )
+
+
+def test_span_rows_rank_without_building_rows():
+    rng = make_rng(4)
+    emb = encode_tokens(["a", "b", "c", "a", "d"], dim=4, seed=0)
+    w = rng.normal(size=(8, 4))
+    grid = SpanGrid(5, 3)
+    factored = span_rows(emb, grid, w)
+    dense = span_representations(emb, grid, w)
+    index = np.flatnonzero(grid.valid)
+    assert np.array_equal(factored.rows(index), dense[index])
+    ffn = _ranking_ffn(rng, 4)
+    scores = factored.rank(ffn)
+    assert np.allclose(scores[index], feed_forward(dense[index], ffn)[:, 0], atol=1e-12)
+    assert (scores[~grid.valid] == NEG_SENTINEL).all()
+    # spans (0, 0) and (3, 3) both cover the token "a", so they score equal
+    assert scores[0] == scores[3 * 3]
+    with pytest.raises(ValueError):
+        span_rows(emb, grid, rng.normal(size=(4, 4)))
+    with pytest.raises(ValueError):
+        span_rows(emb, SpanGrid(4, 3), w)
+
+
+@pytest.mark.parametrize("k", [1, 2, 15, 16, 17, 33])
+def test_pair_grid_rank_matches_dense(k):
+    rng = make_rng(5 + k)
+    span_reps = rng.normal(size=(k, 4))
+    w = rng.normal(size=(8, 4))
+    ffn = _ranking_ffn(rng, 4)
+    grid = pair_grid(span_reps, w)
+    reps, _, _ = relation_representations(span_reps, w)
+    scores = grid.rank(ffn)
+    assert scores.shape == (k * k,)
+    assert np.allclose(scores, feed_forward(reps, ffn)[:, 0], atol=1e-12)
+    assert np.array_equal(grid.rows(np.arange(k * k)), reps)
 
 
 def test_pair_indexing_roundtrip():
