@@ -3,7 +3,7 @@
 Subcommands: score (forward pass over sentences), decode (structures
 from a score file), verify (constraint check of a structure file), bench
 (synthetic decoding throughput), dump-attention (CSV export of refine
-attention), init-params (fresh random parameter file).
+attention and ranking scores), init-params (fresh random parameter file).
 
 Exit codes: 0 success, 1 constraint violations (or a failed bench
 assertion), 2 input or schema errors, 3 search budget exceeded.  A JSON
@@ -78,7 +78,7 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         merged["use_bias"] = False
     try:
         return RunConfig(**merged)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(str(exc)) from exc
 
 
@@ -114,9 +114,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     config = _make_config(args)
     sentences = load_sentences(args.sentences)
     params = _load_params(args.params)
-    results = [forward(tokens, params, config) for tokens in sentences]
-    doc = score_document(results, config.seed)
-    write_json(args.output, doc)
+    # Each sentence is packed as soon as it is scored, and its ForwardResult
+    # (attention, refined rows, ranking vectors) dropped.
+    results = (forward(tokens, params, config) for tokens in sentences)
+    write_json(args.output, score_document(results, config.seed))
     return 0
 
 
@@ -194,8 +195,12 @@ def cmd_dump_attention(args: argparse.Namespace) -> int:
             ("span", result.span_filter),
             ("relation", result.pair_filter),
         ):
-            path = os.path.join(args.output, f"sentence_{pos:04d}_{level}.csv")
-            with open(path, "w", newline="") as fh:
+            stem = os.path.join(args.output, f"sentence_{pos:04d}_{level}")
+            with open(f"{stem}_ranking.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["candidate", "score"])
+                writer.writerows(enumerate(map(repr, fr.ranking_scores.tolist())))
+            with open(f"{stem}.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["candidate", "head", "token", "weight"])
                 att = fr.read_attention
@@ -302,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
-        "dump-attention", help="export refine attention weights as CSV"
+        "dump-attention", help="export refine attention weights and ranking scores as CSV"
     )
     p.add_argument("sentences")
     p.add_argument("params")

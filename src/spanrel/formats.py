@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from importlib import resources
 from itertools import chain
 from typing import NamedTuple
@@ -420,6 +420,7 @@ def load_sentences(path: str) -> list[tuple[str, ...]]:
 
 
 def _score_entry(result: ForwardResult) -> dict:
+    """What a decoder reads of one sentence, plus the kept candidates."""
     inst = result.instance
     entry = {
         "length": inst.length,
@@ -428,28 +429,33 @@ def _score_entry(result: ForwardResult) -> dict:
         "pairs": [list(p) for p in inst.pairs],
         "relation_logits": inst.relation_logits.tolist(),
         "span_kept": list(result.span_filter.kept_indices),
-        "span_ranking_scores": result.span_filter.ranking_scores.tolist(),
         "pair_kept": list(result.pair_filter.kept_indices),
-        "pair_ranking_scores": result.pair_filter.ranking_scores.tolist(),
     }
     if inst.tokens is not None:
         entry["tokens"] = list(inst.tokens)
     return entry
 
 
-def score_document(results: Sequence[ForwardResult], seed: int) -> dict:
-    """Pack forward results (all from the same params) into one document."""
-    if not results:
+def score_document(results: Iterable[ForwardResult], seed: int) -> dict:
+    """Pack forward results (all from the same params) into one document.
+
+    Results are packed one at a time as the iterable yields them, so a
+    generator of forward passes never holds more than one ForwardResult."""
+    results = iter(results)
+    first = next(results, None)
+    if first is None:
         raise ValueError("need at least one scored sentence")
-    inv = results[0].instance.inventory
-    bias = results[0].instance.bias
+    inv, bias = first.instance.inventory, first.instance.bias
+    sentences = [_score_entry(first)]
+    del first
+    sentences += map(_score_entry, results)
     return {
-        "version": 1,
+        "version": 2,  # version 1 also held each sentence's ranking vectors
         "seed": seed,
         "entity_types": list(inv.entity_types),
         "relation_types": list(inv.relation_types),
         "bias": bias_to_json(bias) if bias is not None else None,
-        "sentences": [_score_entry(r) for r in results],
+        "sentences": sentences,
     }
 
 

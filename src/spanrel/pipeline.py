@@ -12,6 +12,7 @@ identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -49,6 +50,13 @@ def normalize_algorithm(name: str) -> str:
     return canon
 
 
+def _finite(x: float) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs for a scoring or decoding run.
@@ -67,6 +75,7 @@ class RunConfig:
     use_bias: bool = True
 
     def __post_init__(self) -> None:
+        self._check_types()
         object.__setattr__(self, "algorithm", normalize_algorithm(self.algorithm))
         for name in ("k_span", "k_rel", "budget"):
             v = getattr(self, name)
@@ -78,6 +87,22 @@ class RunConfig:
             raise ValueError("margin must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+    def _check_types(self) -> None:
+        """TypeError naming the field, for values a config file can hold
+        but the run cannot use (a bool is not taken for an int)."""
+        for name in ("k_span", "k_rel", "depth", "seed", "budget"):
+            v = getattr(self, name)
+            if name in ("depth", "seed") or v is not None:
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise TypeError(f"{name} must be an integer, got {v!r}")
+        m = self.margin
+        if isinstance(m, bool) or not isinstance(m, (int, float)) or not _finite(m):
+            raise TypeError(f"margin must be a finite number, got {m!r}")
+        if not isinstance(self.algorithm, str):
+            raise TypeError(f"algorithm must be a string, got {self.algorithm!r}")
+        if not isinstance(self.use_bias, bool):
+            raise TypeError(f"use_bias must be true or false, got {self.use_bias!r}")
 
     def with_overrides(self, **kwargs) -> RunConfig:
         return replace(self, **kwargs)

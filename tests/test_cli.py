@@ -1,9 +1,9 @@
 """End-to-end command-line checks via subprocess.
 
 Covers exit codes (0 ok, 1 violations, 2 bad input, 3 budget), the
-golden score and attention files, the environment config file, and the
-hand-built overlap fixture whose decodes are small enough to verify by
-hand arithmetic.
+golden score and attention files, score-file versions 1 and 2, the memory
+`score` holds, the environment config file, and the hand-built overlap
+fixture whose decodes are small enough to verify by hand arithmetic.
 """
 
 from __future__ import annotations
@@ -13,14 +13,26 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spanrel.cli as cli
-from spanrel import load_constraint_set, load_score_file, load_structure_file
-from spanrel.formats import validate_document
+from spanrel import (
+    RunConfig,
+    forward,
+    init_params,
+    load_constraint_set,
+    load_score_file,
+    load_sentences,
+    load_structure_file,
+    params_from_json,
+    params_to_json,
+)
+from spanrel.formats import read_json, validate_document, write_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SENTENCES = str(FIXTURES / "sentences.json")
@@ -58,7 +70,19 @@ def assert_json_close(a, b, tol=1e-9, where="$"):
         assert a == b, where
 
 
+RANKING = ("span_ranking_scores", "pair_ranking_scores")
+
+
+def as_version_2(doc: dict) -> dict:
+    """A version-1 score document as version 2: without ranking vectors."""
+    sentences = [{k: v for k, v in s.items() if k not in RANKING} for s in doc["sentences"]]
+    return dict(doc, version=2, sentences=sentences)
+
+
 def test_score_matches_golden(tmp_path):
+    """A fresh score file (version 2) matches the version-1 fixture at 1e-9
+    on every field it holds, and the fixture's ranking vectors, which
+    version 2 leaves out, match forward's at 1e-9."""
     out = str(tmp_path / "scores.json")
     proc = run_cli("score", SENTENCES, PARAMS, "-o", out, "--seed", "0")
     assert proc.returncode == 0, proc.stderr
@@ -66,7 +90,77 @@ def test_score_matches_golden(tmp_path):
         fresh = json.load(fh)
     with open(GOLDEN_SCORE) as fh:
         golden = json.load(fh)
-    assert_json_close(fresh, golden)
+    assert (fresh["version"], golden["version"]) == (2, 1)
+    assert_json_close(fresh, as_version_2(golden))
+    params = params_from_json(read_json(PARAMS))
+    sentences = load_sentences(SENTENCES)
+    assert len(sentences) == len(golden["sentences"])
+    for pos, (tokens, entry) in enumerate(zip(sentences, golden["sentences"])):
+        result = forward(tokens, params, RunConfig(seed=0))
+        for key, fr in zip(RANKING, (result.span_filter, result.pair_filter)):
+            assert_json_close(fr.ranking_scores.tolist(), entry[key], where=f"{pos}.{key}")
+
+
+def test_score_versions_1_and_2_decode_alike(tmp_path, capsys):
+    """The version-1 fixture decodes and verifies as before.  Without its
+    ranking vectors, as version 2, it gives byte-identical structure files
+    under every algorithm.  A freshly scored version-2 file, whose logits
+    differ from the fixture's by a few ulps, gives the same labels and
+    verify output, with scores within 1e-9."""
+    v2 = tmp_path / "v2.json"
+    write_json(str(v2), as_version_2(json.loads(Path(GOLDEN_SCORE).read_text())))
+    fresh = tmp_path / "fresh.json"
+    assert cli.main(["score", SENTENCES, PARAMS, "-o", str(fresh), "--seed", "0"]) == 0
+    for algo in ("unconstrained", "entity-first", "joint", "relation-first"):
+        runs = {}
+        for name, scores in (("v1", GOLDEN_SCORE), ("v2", str(v2)), ("fresh", str(fresh))):
+            out = tmp_path / f"{algo}_{name}.json"
+            argv = ["decode", scores, "-o", str(out), "--algorithm", algo, "--constraints", "conll04"]
+            assert cli.main(argv) == 0, algo
+            code = cli.main(["verify", str(out), scores])
+            runs[name] = (out.read_bytes(), code, capsys.readouterr().out)
+        assert runs["v1"] == runs["v2"], algo
+        assert runs["fresh"][1:] == runs["v1"][1:], algo
+        assert_json_close(json.loads(runs["fresh"][0]), json.loads(runs["v1"][0]), where=algo)
+        if algo != "unconstrained":
+            assert runs["v1"][1:] == (0, "ok: no violations\n"), algo
+
+
+def test_score_file_of_an_unknown_version_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(GOLDEN_SCORE).read_text())
+    doc["version"] = 3
+    scores = tmp_path / "v3.json"
+    scores.write_text(json.dumps(doc))
+    out = tmp_path / "o.json"
+    assert cli.main(["decode", str(scores), "-o", str(out)]) == 2
+    assert "invalid score document at version: 3 is not one of [1, 2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_score_memory_does_not_grow_with_the_corpus(tmp_path):
+    """score packs each sentence as soon as it is scored and drops its
+    ForwardResult.  Over 200 sentences of 40-80 tokens the tracemalloc
+    peak stays under 30 MB; holding every result to the end took 161 MB."""
+    rng = np.random.default_rng(0)
+    vocab = [f"w{i}" for i in range(500)]
+    sentences = tmp_path / "sentences.json"
+    write_json(str(sentences), {"sentences": [
+        {"tokens": [vocab[j] for j in rng.integers(0, len(vocab), n)]}
+        for n in rng.integers(40, 81, 200)
+    ]})
+    params = tmp_path / "params.json"
+    inventory = load_constraint_set("conll04").inventory
+    write_json(str(params), params_to_json(
+        init_params(inventory, dim=64, heads=4, max_span_width=12, seed=0)
+    ))
+    tracemalloc.start()
+    try:
+        code = cli.main(["score", str(sentences), str(params), "-o", str(tmp_path / "s.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 30e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_decode_verify_roundtrip(tmp_path):
@@ -339,6 +433,32 @@ def test_env_config_file(tmp_path):
         assert run_cli("decode", OVERLAP, "-o", out, env_extra=env).returncode == 2
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"k_span": "3"},
+        {"algorithm": 5},
+        {"depth": 1.5},
+        {"margin": None},
+        {"k_span": True},
+        {"budget": 2.0},
+        {"use_bias": 1},
+    ],
+    ids=lambda v: json.dumps(v),
+)
+def test_wrongly_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, value):
+    """A config value of the wrong JSON type is bad input: exit 2 with a
+    message naming the key, never a crash or a bool taken for 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(value))
+    monkeypatch.setenv("SPANREL_CONFIG", str(cfg))
+    out = tmp_path / "o.json"
+    assert cli.main(["score", SENTENCES, PARAMS, "-o", str(out)]) == 2
+    (key,) = value
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    assert not out.exists()
+
+
 def test_dump_attention_matches_golden(tmp_path):
     outdir = tmp_path / "att"
     proc = run_cli(
@@ -353,11 +473,14 @@ def test_dump_attention_matches_golden(tmp_path):
             rows_a = list(csv.reader(fh))
         with open(golden_dir / name) as fh:
             rows_b = list(csv.reader(fh))
-        assert rows_a[0] == ["candidate", "head", "token", "weight"]
+        if name.endswith("_ranking.csv"):
+            assert rows_a[0] == ["candidate", "score"]
+        else:
+            assert rows_a[0] == ["candidate", "head", "token", "weight"]
         assert len(rows_a) == len(rows_b)
         for ra, rb in zip(rows_a[1:], rows_b[1:]):
-            assert ra[:3] == rb[:3]
-            assert float(ra[3]) == pytest.approx(float(rb[3]), abs=1e-9)
+            assert ra[:-1] == rb[:-1]
+            assert float(ra[-1]) == pytest.approx(float(rb[-1]), abs=1e-9)
     # attention rows are distributions: per candidate and head they sum to 1
     sums: dict[tuple[str, str], float] = defaultdict(float)
     with open(outdir / "sentence_0000_span.csv") as fh:
@@ -366,6 +489,22 @@ def test_dump_attention_matches_golden(tmp_path):
     assert sums
     for total in sums.values():
         assert total == pytest.approx(1.0, abs=1e-5)
+
+
+def test_golden_ranking_csvs_match_forward():
+    """The ranking vectors that version-2 score files leave out stay
+    reachable through dump-attention: one row per grid cell, as forward
+    ranks them."""
+    params = params_from_json(read_json(PARAMS))
+    golden_dir = FIXTURES / "golden_attention"
+    for pos, tokens in enumerate(load_sentences(SENTENCES)):
+        result = forward(tokens, params, RunConfig(seed=0))
+        for level, fr in (("span", result.span_filter), ("relation", result.pair_filter)):
+            with open(golden_dir / f"sentence_{pos:04d}_{level}_ranking.csv") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert [int(r[0]) for r in rows] == list(range(len(fr.ranking_scores)))
+            scores = np.array([float(r[1]) for r in rows])
+            assert np.allclose(scores, fr.ranking_scores, rtol=0, atol=1e-9), (pos, level)
 
 
 def test_init_params(tmp_path):

@@ -162,6 +162,19 @@ def test_score_document_roundtrip(tmp_path, scored):
         assert np.array_equal(rebuilt.bias.combined(), orig.bias.combined())
 
 
+def test_score_document_packs_any_iterable(scored):
+    """A generator packs like a list; version 2 holds no ranking vectors."""
+    doc = score_document(iter(scored), seed=0)
+    assert doc == score_document(scored, seed=0)
+    assert doc["version"] == 2
+    for entry, result in zip(doc["sentences"], scored):
+        assert "span_ranking_scores" not in entry and "pair_ranking_scores" not in entry
+        assert entry["span_kept"] == list(result.span_filter.kept_indices)
+        assert entry["pair_kept"] == list(result.pair_filter.kept_indices)
+    with pytest.raises(ValueError):
+        score_document(iter(()), seed=0)
+
+
 def test_score_document_rejects_bad_entries(scored):
     doc = score_document(scored, seed=0)
     bad = json.loads(dump_canonical(doc))
