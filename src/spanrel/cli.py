@@ -62,18 +62,10 @@ def _env_config() -> dict:
 def _make_config(args: argparse.Namespace) -> RunConfig:
     """RunConfig from env-file defaults overridden by explicit flags."""
     merged = _env_config()
-    for attr, key in (
-        ("algorithm", "algorithm"),
-        ("k_span", "k_span"),
-        ("k_rel", "k_rel"),
-        ("depth", "depth"),
-        ("margin", "margin"),
-        ("seed", "seed"),
-        ("budget", "budget"),
-    ):
-        value = getattr(args, attr, None)
+    for name in ("algorithm", "k_span", "k_rel", "depth", "margin", "seed", "budget"):
+        value = getattr(args, name, None)
         if value is not None:
-            merged[key] = value
+            merged[name] = value
     if getattr(args, "no_bias", False):
         merged["use_bias"] = False
     try:
@@ -243,12 +235,11 @@ def cmd_init_params(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_config_flags(p: argparse.ArgumentParser, k_flags: bool = True) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
-    if k_flags:
-        p.add_argument("--k-span", type=int, default=None, dest="k_span")
-        p.add_argument("--k-rel", type=int, default=None, dest="k_rel")
-        p.add_argument("--depth", type=int, default=None, help="refine repetitions")
+    p.add_argument("--k-span", type=int, default=None, dest="k_span")
+    p.add_argument("--k-rel", type=int, default=None, dest="k_rel")
+    p.add_argument("--depth", type=int, default=None, help="refine repetitions")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -330,12 +330,13 @@ def structure_score(
 
 
 def unconstrained_decode(instance: ScoredInstance) -> DecodedStructure:
-    """Row-wise argmax on raw logits; ties go to the lower type index."""
-    ents = tuple(int(np.argmax(row)) for row in instance.entity_logits)
-    rels = tuple(int(np.argmax(row)) for row in instance.relation_logits)
-    return DecodedStructure(
-        ents, rels, structure_score(instance, ents, rels, use_bias=False)
-    )
+    """Row-wise argmax on raw logits; ties go to the lower type index.
+
+    Entity-first with no rule and no bias: nothing resolves overlaps,
+    nothing is masked, so every row keeps its own argmax.
+    """
+    constraints = unconstrained_constraints(instance.inventory)
+    return entity_first_decode(instance, constraints, use_bias=False)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .params import ModelParams
 from .pipeline import ForwardResult, RunConfig, forward
-from .representation import TypeInventory
+from .representation import SpanGrid, TypeInventory
 
 
 @dataclass(frozen=True)
@@ -173,16 +173,13 @@ def loss_from_forward(
     pruned ones were never classified.
     """
     inst = result.instance
-    all_spans = [(sp.start, sp.end) for sp in result.span_candidates]
+    spans = SpanGrid(inst.length, result.max_span_width)
+    all_spans = list(zip(spans.starts.tolist(), spans.ends.tolist()))
     grid = align_gold(all_spans, [], gold, inst.inventory, inst.length)
-    # the pair grid's span indices refer to kept spans
-    grid_pairs = align_gold(
-        list(inst.spans),
-        list(result.pair_candidates),
-        gold,
-        inst.inventory,
-        inst.length,
-    )
+    # the K*K head-major pair grid; its span indices refer to kept spans
+    k = len(inst.spans)
+    all_pairs = [(h, t) for h in range(k) for t in range(k)]
+    grid_pairs = align_gold(list(inst.spans), all_pairs, gold, inst.inventory, inst.length)
     rank_ent = ranking_loss(result.span_filter.ranking_scores, grid.entity_keep, margin)
     rank_rel = ranking_loss(
         result.pair_filter.ranking_scores, grid_pairs.relation_keep, margin

@@ -41,10 +41,7 @@ class ModelParams:
         d = self.dim
         e = self.inventory.num_entity_types
         r = self.inventory.num_relation_types
-        if min(self.dim, self.heads, self.hidden, self.max_span_width) < 1:
-            raise ValueError("dim, heads, hidden, and max_span_width must be positive")
-        if self.dim % self.heads != 0:
-            raise ValueError("heads must divide dim")
+        _check_dims(self.dim, self.heads, self.hidden, self.max_span_width)
         checks = [
             ("span_proj", np.asarray(self.span_proj).shape, (2 * d, d)),
             ("relation_proj", np.asarray(self.relation_proj).shape, (2 * d, d)),
@@ -70,6 +67,13 @@ class ModelParams:
             raise ValueError("bias table dims disagree with the type inventory")
         object.__setattr__(self, "span_proj", np.asarray(self.span_proj, dtype=np.float64))
         object.__setattr__(self, "relation_proj", np.asarray(self.relation_proj, dtype=np.float64))
+
+
+def _check_dims(dim: int, heads: int, hidden: int, max_span_width: int) -> None:
+    if min(dim, heads, hidden, max_span_width) < 1:
+        raise ValueError("dim, heads, hidden, and max_span_width must be positive")
+    if dim % heads != 0:
+        raise ValueError("heads must divide dim")
 
 
 def _rand(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
@@ -106,9 +110,8 @@ def init_params(
     bias_scale: float = 0.1,
 ) -> ModelParams:
     """Random but fully deterministic toy parameters for the given inventory."""
-    if dim % heads != 0:
-        raise ValueError("heads must divide dim")
     hidden = hidden if hidden is not None else dim
+    _check_dims(dim, heads, hidden, max_span_width)
     rng = make_rng(seed)
     e = inventory.num_entity_types
     r = inventory.num_relation_types

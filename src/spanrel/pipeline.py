@@ -14,26 +14,23 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decode import ALGORITHMS, ScoredInstance
 from .filter_refine import FilterResult, filter_and_refine
 from .params import ModelParams
-# forward calls neither span_representations nor relation_representations
-# (their rows come from span_rows and pair_grid), but every representation
-# step stays importable here, where perfbench/spantrace.py wraps this
-# module's names.
+# forward never calls enumerate_spans, span_representations or
+# relation_representations (SpanGrid, span_rows and pair_grid replace them);
+# they are imported only so that perfbench/spantrace.py finds them here.
 from .representation import (  # noqa: F401
-    SpanCandidate,
     SpanGrid,
     TokenEmbeddings,
     classify_relations,
     classify_spans,
     encode_tokens,
     enumerate_spans,
-    pair_from_index,
     pair_grid,
     relation_representations,
     span_representations,
@@ -104,20 +101,16 @@ class RunConfig:
         if not isinstance(self.use_bias, bool):
             raise TypeError(f"use_bias must be true or false, got {self.use_bias!r}")
 
-    def with_overrides(self, **kwargs) -> RunConfig:
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class ForwardResult:
     """A scored sentence plus everything a diagnostic export needs.
 
-    span_candidates covers the full start-by-width grid; span_filter and
-    pair_filter keep their full ranking-score vectors and, when depth is
-    at least 1 and anything survived, the last READ attention (heads, K,
-    L).  pair_candidates lists the ordered pairs over kept spans that the
-    relation filter chose from; instance.pairs is its kept subset.  Both
-    candidate lists are built on access; scoring never needs them.
+    span_filter ranks the whole SpanGrid(instance.length, max_span_width)
+    and pair_filter the K*K head-major pairs over the kept spans (flat
+    index head * K + tail); both keep their full ranking-score vectors
+    and, when depth is at least 1 and anything survived, the last READ
+    attention (heads, K, L).
     """
 
     instance: ScoredInstance
@@ -125,15 +118,6 @@ class ForwardResult:
     max_span_width: int
     span_filter: FilterResult
     pair_filter: FilterResult
-
-    @property
-    def span_candidates(self) -> tuple[SpanCandidate, ...]:
-        return tuple(enumerate_spans(self.instance.length, self.max_span_width))
-
-    @property
-    def pair_candidates(self) -> tuple[tuple[int, int], ...]:
-        k = len(self.instance.spans)
-        return tuple(pair_from_index(i, k) for i in range(k * k))
 
 
 def default_k_span(length: int, max_span_width: int) -> int:

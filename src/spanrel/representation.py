@@ -143,10 +143,6 @@ class SpanCandidate:
     end: int  # inclusive
     valid: bool
 
-    @property
-    def width(self) -> int:
-        return self.end - self.start + 1
-
 
 @dataclass(frozen=True)
 class SpanGrid:
@@ -232,41 +228,20 @@ def span_rows(embeddings: TokenEmbeddings, grid: SpanGrid, w_ent: np.ndarray) ->
 
 
 def span_representations(
-    embeddings: TokenEmbeddings, spans: SpanGrid | list[SpanCandidate], w_ent: np.ndarray
+    embeddings: TokenEmbeddings, spans: SpanGrid, w_ent: np.ndarray
 ) -> np.ndarray:
     """Project concat(start embedding, end embedding) through w_ent (2D x D).
 
-    Row k corresponds to spans[k] (a SpanGrid or any list of candidates);
-    invalid candidates get a zero row.  Rows equal span_rows(...).rows().
+    Row k is grid cell k; invalid cells get a zero row.  The dense form of
+    span_rows(...): its rows equal SpanRows.rows() exactly.
     """
+    if spans.length != embeddings.length:
+        raise ValueError("span grid length does not match the sentence")
     left, right = _endpoint_factors(embeddings.vectors, w_ent, "w_ent")
-    if isinstance(spans, SpanGrid):
-        starts, ends, valid = spans.starts, spans.ends, spans.valid
-    else:
-        starts = np.array([s.start for s in spans], dtype=np.int64)
-        ends = np.array([s.end for s in spans], dtype=np.int64)
-        valid = np.array([s.valid for s in spans], dtype=bool)
-    starts, ends = starts[valid], ends[valid]
-    out = np.zeros((len(valid), embeddings.dim), dtype=np.float64)
-    if starts.size:
-        if starts.min() < 0 or ends.max() >= embeddings.length:
-            raise IndexError("span index out of range for the sentence")
-        out[valid] = left[starts] + right[ends]
+    valid = spans.valid
+    out = np.zeros((valid.size, embeddings.dim), dtype=np.float64)
+    out[valid] = left[spans.starts[valid]] + right[spans.ends[valid]]
     return out
-
-
-def pair_index(head: int, tail: int, k: int) -> int:
-    """Flat index of the ordered pair (head, tail) in the K*K head-major grid."""
-    if not (0 <= head < k and 0 <= tail < k):
-        raise IndexError(f"pair ({head}, {tail}) out of range for K={k}")
-    return head * k + tail
-
-
-def pair_from_index(index: int, k: int) -> tuple[int, int]:
-    """Inverse of pair_index."""
-    if not (0 <= index < k * k):
-        raise IndexError(f"pair index {index} out of range for K={k}")
-    return divmod(index, k)
 
 
 @dataclass(frozen=True)
@@ -312,10 +287,6 @@ class PairGrid:
         """Flat mask of off-diagonal (head != tail) pairs."""
         return ~np.eye(self.k, dtype=bool).ravel()
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """Every (head, tail) in flat-index order."""
-        return [(h, t) for h in range(self.k) for t in range(self.k)]
-
 
 def pair_grid(span_reps: np.ndarray, w_rel: np.ndarray) -> PairGrid:
     """The factored K*K pair grid over K span representations."""
@@ -327,12 +298,14 @@ def relation_representations(
 ) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
     """All K*K ordered-pair representations w_rel^T (head ++ tail), dense.
 
-    Returns (reps, pairs, valid) where pairs[i] = pair_from_index(i, K) and
-    valid marks off-diagonal pairs; self-pairs carry a representation row but
-    are masked out downstream.  Rows equal pair_grid(...).rows() exactly.
+    Returns (reps, pairs, valid) where pairs[i] = divmod(i, K) is (head,
+    tail) and valid marks off-diagonal pairs; self-pairs carry a
+    representation row but are masked out downstream.  Rows equal
+    pair_grid(...).rows() exactly.
     """
     grid = pair_grid(span_reps, w_rel)
-    return grid.rows(np.arange(grid.k * grid.k)), grid.pairs(), grid.valid()
+    pairs = [(h, t) for h in range(grid.k) for t in range(grid.k)]
+    return grid.rows(np.arange(grid.k * grid.k)), pairs, grid.valid()
 
 
 def classify_spans(span_reps: np.ndarray, head_params) -> np.ndarray:
@@ -406,43 +379,6 @@ class BiasTable:
         return BiasTable(np.zeros((e, e, r)), np.zeros((e, r)), np.zeros((e, r)), np.zeros((e, e)))
 
 
-def bias_lookup(head_type: int, tail_type: int, rel_type: int, table: BiasTable) -> float:
-    """b(h, t, r) = joint[h,t,r] + head_relation[h,r] + tail_relation[t,r] + head_tail[h,t]."""
-    e, r = table.num_entity_types, table.num_relation_types
-    if not (0 <= head_type < e and 0 <= tail_type < e):
-        raise IndexError(f"entity type out of range: ({head_type}, {tail_type})")
-    if not (0 <= rel_type < r):
-        raise IndexError(f"relation type out of range: {rel_type}")
-    return float(
-        table.joint[head_type, tail_type, rel_type]
-        + table.head_relation[head_type, rel_type]
-        + table.tail_relation[tail_type, rel_type]
-        + table.head_tail[head_type, tail_type]
-    )
-
-
-def apply_bias(
-    rel_logits: np.ndarray,
-    head_types: np.ndarray,
-    tail_types: np.ndarray,
-    table: BiasTable,
-) -> np.ndarray:
-    """Add b(h, t, r) row-wise to relation logits, given each candidate's
-    predicted head and tail entity types.
-
-    Sentinel entries propagate, so a forbidden triple can never win the
-    row argmax.
-    """
-    rel_logits = np.asarray(rel_logits, dtype=np.float64)
-    head_types = np.asarray(head_types, dtype=np.int64)
-    tail_types = np.asarray(tail_types, dtype=np.int64)
-    if head_types.shape != (rel_logits.shape[0],) or tail_types.shape != (rel_logits.shape[0],):
-        raise ValueError("one head and tail type required per relation candidate")
-    if rel_logits.shape[1] != table.num_relation_types:
-        raise ValueError("logit width does not match the bias table")
-    return rel_logits + table.combined()[head_types, tail_types, :]
-
-
 __all__ = [
     "NULL_ENTITY",
     "NULL_RELATION",
@@ -458,12 +394,8 @@ __all__ = [
     "valid_span_count",
     "span_representations",
     "span_rows",
-    "pair_index",
-    "pair_from_index",
     "pair_grid",
     "relation_representations",
     "classify_spans",
     "classify_relations",
-    "bias_lookup",
-    "apply_bias",
 ]

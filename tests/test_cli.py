@@ -530,6 +530,17 @@ def test_init_params(tmp_path):
     assert run_cli("init-params", "-o", out).returncode == 2
 
 
+def test_init_params_refuses_zero_heads(tmp_path, capsys):
+    """--heads 0 is bad input: exit 2 with the ModelParams message, no
+    traceback from dim % heads, no file."""
+    out = tmp_path / "p.json"
+    code = cli.main(["init-params", "-o", str(out), "--constraints", "conll04", "--heads", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: dim, heads, hidden, and max_span_width must be positive\n"
+    assert not out.exists()
+
+
 def test_bench_runs():
     proc = run_cli("bench", "--count", "2", "--length", "8", "--seed", "1")
     assert proc.returncode == 0, proc.stderr

@@ -26,7 +26,6 @@ from spanrel import (
     RunConfig,
     SpanCandidate,
     encode_tokens,
-    enumerate_spans,
     feed_forward,
     forward,
     init_params,
@@ -140,9 +139,8 @@ def ref_forward(tokens, params, config):
     return SimpleNamespace(
         instance=instance,
         embeddings=SimpleNamespace(vectors=vectors),
-        span_candidates=tuple(spans),
+        max_span_width=params.max_span_width,
         span_filter=span_fr,
-        pair_candidates=tuple(pairs),
         pair_filter=pair_fr,
     )
 
@@ -282,15 +280,6 @@ def test_forward_memory_is_bounded(params):
     finally:
         tracemalloc.stop()
     assert peak <= 15e6, f"forward peak {peak / 1e6:.1f} MB at L = 320"
-
-
-def test_candidates_are_built_on_access(params):
-    tokens, config = CASES["len40"]
-    got = forward(tokens, params, config)
-    assert got.span_candidates == tuple(enumerate_spans(len(tokens), params.max_span_width))
-    k = len(got.instance.spans)
-    assert got.pair_candidates == tuple((h, t) for h in range(k) for t in range(k))
-    assert got.pair_candidates == ref_forward(tokens, params, config).pair_candidates
 
 
 def test_loss_from_forward_matches_reference(params):

@@ -9,16 +9,15 @@ from spanrel import (
     NULL_ENTITY,
     NULL_RELATION,
     BiasTable,
+    ConstraintSet,
+    ScoredInstance,
     TypeInventory,
-    apply_bias,
-    bias_lookup,
     classify_relations,
     classify_spans,
+    decode,
     encode_tokens,
     enumerate_spans,
     make_rng,
-    pair_from_index,
-    pair_index,
     relation_representations,
     span_representations,
     feed_forward,
@@ -82,7 +81,7 @@ def test_span_representations_endpoints():
     rng = make_rng(0)
     emb = encode_tokens(["a", "b", "c"], dim=4, seed=0)
     w = rng.normal(size=(8, 4))
-    spans = enumerate_spans(3, 2)
+    spans = SpanGrid(3, 2)
     reps = span_representations(emb, spans, w)
     assert reps.shape == (6, 4)
     # row = concat(start vec, end vec) @ w
@@ -138,21 +137,6 @@ def test_pair_grid_rank_matches_dense(k):
     assert np.array_equal(grid.rows(np.arange(k * k)), reps)
 
 
-def test_pair_indexing_roundtrip():
-    k = 5
-    seen = set()
-    for h in range(k):
-        for t in range(k):
-            idx = pair_index(h, t, k)
-            assert pair_from_index(idx, k) == (h, t)
-            seen.add(idx)
-    assert seen == set(range(k * k))
-    with pytest.raises(IndexError):
-        pair_index(5, 0, 5)
-    with pytest.raises(IndexError):
-        pair_from_index(25, 5)
-
-
 def test_relation_representations():
     rng = make_rng(1)
     span_reps = rng.normal(size=(3, 4))
@@ -162,7 +146,7 @@ def test_relation_representations():
     assert pairs == [(h, t) for h in range(3) for t in range(3)]
     assert valid.tolist() == [h != t for h, t in pairs]
     cat = np.concatenate([span_reps[2], span_reps[0]])
-    assert np.allclose(reps[pair_index(2, 0, 3)], cat @ w)
+    assert np.allclose(reps[2 * 3 + 0], cat @ w)
 
 
 def test_classify_heads():
@@ -200,12 +184,7 @@ def test_bias_lookup_matches_combined():
                     + table.tail_relation[t, rel]
                     + table.head_tail[h, t]
                 )
-                assert bias_lookup(h, t, rel, table) == pytest.approx(manual)
                 assert combined[h, t, rel] == pytest.approx(manual)
-    with pytest.raises(IndexError):
-        bias_lookup(e, 0, 0, table)
-    with pytest.raises(IndexError):
-        bias_lookup(0, 0, r, table)
 
 
 def test_bias_zeros_and_validation():
@@ -220,35 +199,19 @@ def test_bias_zeros_and_validation():
         )
 
 
-def test_apply_bias_rows():
-    rng = make_rng(4)
-    table = BiasTable(
-        joint=rng.normal(size=(3, 3, 2)),
-        head_relation=rng.normal(size=(3, 2)),
-        tail_relation=rng.normal(size=(3, 2)),
-        head_tail=rng.normal(size=(3, 3)),
-    )
-    logits = rng.normal(size=(4, 2))
-    heads = np.array([0, 1, 2, 1])
-    tails = np.array([1, 1, 0, 2])
-    out = apply_bias(logits, heads, tails, table)
-    for p in range(4):
-        for rel in range(2):
-            expected = logits[p, rel] + bias_lookup(
-                int(heads[p]), int(tails[p]), rel, table
-            )
-            assert out[p, rel] == pytest.approx(expected)
-    with pytest.raises(ValueError):
-        apply_bias(logits, heads[:2], tails, table)
-
-
 def test_sentinel_bias_blocks_argmax():
-    from spanrel import NEG_SENTINEL
-
+    """A NEG_SENTINEL joint-bias cell never wins a decode: the relation it
+    blocks is the one the logits want, and it wins once the cell is 0."""
+    inv = TypeInventory.from_names(["A"], ["r"])
     table = BiasTable.zeros(2, 2)
     blocked = table.joint.copy()
     blocked[1, 1, 1] = NEG_SENTINEL
-    table = BiasTable(blocked, table.head_relation, table.tail_relation, table.head_tail)
-    logits = np.array([[0.0, 100.0]])
-    out = apply_bias(logits, np.array([1]), np.array([1]), table)
-    assert int(np.argmax(out[0])) == 0
+    blocked_table = BiasTable(blocked, table.head_relation, table.tail_relation, table.head_tail)
+    ent = np.array([[0.0, 5.0], [0.0, 5.0]])
+    rel = np.array([[0.0, 100.0]])
+    for bias, want in ((table, 1), (blocked_table, 0)):
+        inst = ScoredInstance(4, ((0, 0), (2, 3)), ent, ((0, 1),), rel, inv, bias=bias)
+        for algorithm in ("entity_first", "joint"):
+            st = decode(inst, algorithm, ConstraintSet(inv))
+            assert st.entity_labels == (1, 1), algorithm
+            assert st.relation_labels == (want,), algorithm
