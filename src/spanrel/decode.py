@@ -6,7 +6,7 @@ Four algorithms, all deterministic:
 * ``entity_first``: argmax entity types, resolve span overlaps with an
   exact maximum-weight interval-scheduling dynamic program, then label
   each relation by argmax over logits plus bias, with whitelist-forbidden
-  cells masked to a large negative sentinel.
+  cells masked to -inf.
 * ``joint``: exact maximizer of the full additive objective over all
   entity and relation labels subject to every active constraint.
 * ``relation_first``: exact relation labeling first (restricted to
@@ -54,7 +54,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import NEG_SENTINEL
 from .representation import BiasTable, TypeInventory
 
 NULL = 0  # index of the null label in every inventory
@@ -409,7 +408,8 @@ def entity_first_decode(
     with a negative logit is dropped because the empty set competes).
     Step 3: each relation candidate between two surviving spans gets the
     argmax of logits plus bias, with whitelist-forbidden cells masked to
-    the sentinel; candidates touching a dropped span stay null.
+    -inf, so they lose to any permitted cell however low it scores;
+    candidates touching a dropped span stay null.
     """
     ent = instance.entity_logits
     winners = ent.argmax(axis=1)
@@ -440,7 +440,7 @@ def entity_first_decode(
     table = _applied_bias(instance, use_bias)
     if table is not None:
         rows = rows + table[eh, et]
-    rows = np.where(constraints.allowed[eh, et], rows, NEG_SENTINEL)
+    rows = np.where(constraints.allowed[eh, et], rows, -np.inf)
     rels[typed] = rows.argmax(axis=1)
     ents_t, rels_t = tuple(ents.tolist()), tuple(rels.tolist())
     return DecodedStructure(

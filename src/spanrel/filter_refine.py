@@ -1,12 +1,12 @@
 """Filter-and-refine: prune candidates to the top K by a learned ranking
 score, then enrich the survivors.
 
-Candidates come as an (N, D) matrix or as a factored grid (SpanRows or
-PairGrid), whose N rows are ranked through the factored first layer of the
-ranking feed-forward without being built; only the kept rows ever are.
-Either way the score's last layer is numerics.scalar_head, which gives
-equal rows equal scores, so ties go to the lower index as top_k_select
-promises.
+Candidates come as an (N, D) matrix or as a CandidateGrid, whose N cells
+are ranked through the factored first layer of the ranking feed-forward
+without being built; only the kept rows ever are.  Either way the score's
+last layer is numerics.scalar_head, which gives equal rows equal scores,
+so ties go to the lower index as top_k_select promises.  The valid mask
+is applied once, in ranking_scores.
 
 The refine step runs two attention blocks in order: a cross-attention pass
 over the token embeddings (the survivors read from the sentence) and a
@@ -30,10 +30,7 @@ from .numerics import (
     relu,
     scalar_head,
 )
-from .representation import PairGrid, SpanRows
-
-# Candidates in factored form: ranked and built by the grid itself.
-Grid = (SpanRows, PairGrid)
+from .representation import CandidateGrid
 
 
 @dataclass(frozen=True)
@@ -55,12 +52,12 @@ class FilterResult:
 
 
 def ranking_scores(
-    z: np.ndarray | SpanRows | PairGrid,
+    z: np.ndarray | CandidateGrid,
     filter_params: FeedForwardParams,
     valid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scalar ranking score per candidate; invalid candidates get the sentinel."""
-    if isinstance(z, Grid):
+    if isinstance(z, CandidateGrid):
         scores = z.rank(filter_params)
     else:
         z = np.asarray(z, dtype=np.float64)
@@ -77,7 +74,7 @@ def ranking_scores(
 
 
 def top_k_select(
-    z: np.ndarray | SpanRows | PairGrid, scores: np.ndarray, k: int
+    z: np.ndarray | CandidateGrid, scores: np.ndarray, k: int
 ) -> FilterResult:
     """Keep the k highest-scoring valid candidates (score above the sentinel).
 
@@ -97,7 +94,7 @@ def top_k_select(
         above = scores > cut
         above[np.flatnonzero(scores == cut)[: m - int(above.sum())]] = True
         kept = np.flatnonzero(above)
-    if isinstance(z, Grid):
+    if isinstance(z, CandidateGrid):
         rows = z.rows(kept)
     else:
         rows = np.asarray(z, dtype=np.float64)[kept]
@@ -136,7 +133,7 @@ def process(
 
 
 def filter_and_refine(
-    z: np.ndarray | SpanRows | PairGrid,
+    z: np.ndarray | CandidateGrid,
     tokens: np.ndarray,
     k: int,
     filter_params: FeedForwardParams,

@@ -459,6 +459,12 @@ def score_document(results: Iterable[ForwardResult], seed: int) -> dict:
     }
 
 
+def _logit_grid(rows: list, types: int) -> np.ndarray:
+    """One row of logits per candidate; no candidates is a (0, types) grid."""
+    grid = np.asarray(rows, dtype=np.float64)
+    return grid if len(rows) else grid.reshape(0, types)
+
+
 def instances_from_score_doc(doc: dict) -> list[ScoredInstance]:
     """Rebuild decoder inputs from a validated score document."""
     inventory = TypeInventory(
@@ -483,11 +489,9 @@ def instances_from_score_doc(doc: dict) -> list[ScoredInstance]:
                 ScoredInstance(
                     length=entry["length"],
                     spans=tuple((s[0], s[1]) for s in entry["spans"]),
-                    entity_logits=np.asarray(entry["entity_logits"], dtype=np.float64),
+                    entity_logits=_logit_grid(entry["entity_logits"], inventory.num_entity_types),
                     pairs=tuple((p[0], p[1]) for p in entry["pairs"]),
-                    relation_logits=np.asarray(
-                        entry["relation_logits"], dtype=np.float64
-                    ),
+                    relation_logits=_logit_grid(entry["relation_logits"], inventory.num_relation_types),
                     inventory=inventory,
                     bias=bias,
                     tokens=tuple(entry["tokens"]) if "tokens" in entry else None,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .params import ModelParams
 from .pipeline import ForwardResult, RunConfig, forward
-from .representation import SpanGrid, TypeInventory
+from .representation import TypeInventory, enumerate_spans
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,7 @@ def loss_from_forward(
     pruned ones were never classified.
     """
     inst = result.instance
-    spans = SpanGrid(inst.length, result.max_span_width)
-    all_spans = list(zip(spans.starts.tolist(), spans.ends.tolist()))
+    all_spans = [(s.start, s.end) for s in enumerate_spans(inst.length, result.max_span_width)]
     grid = align_gold(all_spans, [], gold, inst.inventory, inst.length)
     # the K*K head-major pair grid; its span indices refer to kept spans
     k = len(inst.spans)

@@ -4,9 +4,9 @@ Tokens are hash-encoded into embeddings, every span up to the width limit
 is ranked and pruned to the top K, survivors are classified into entity
 logits, ordered pairs of survivors repeat the same filter/classify cycle
 for relations, and the result is packed into a ScoredInstance ready for
-any decoder.  Both candidate grids stay in factored form (SpanRows,
-PairGrid): their L*M and K*K rows are ranked without being built, and
-only the kept ones are.  Pure function of (tokens, params, config):
+any decoder.  Both candidate sets are CandidateGrids in factored form:
+their L*M and K*K rows are ranked without being built, and only the kept
+ones are.  Pure function of (tokens, params, config):
 identical inputs give bit-identical outputs.
 """
 
@@ -16,16 +16,13 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .decode import ALGORITHMS, ScoredInstance
 from .filter_refine import FilterResult, filter_and_refine
 from .params import ModelParams
 # forward never calls enumerate_spans, span_representations or
-# relation_representations (SpanGrid, span_rows and pair_grid replace them);
+# relation_representations, the dense views of span_grid and pair_grid;
 # they are imported only so that perfbench/spantrace.py finds them here.
 from .representation import (  # noqa: F401
-    SpanGrid,
     TokenEmbeddings,
     classify_relations,
     classify_spans,
@@ -33,8 +30,8 @@ from .representation import (  # noqa: F401
     enumerate_spans,
     pair_grid,
     relation_representations,
+    span_grid,
     span_representations,
-    span_rows,
     valid_span_count,
 )
 
@@ -106,7 +103,8 @@ class RunConfig:
 class ForwardResult:
     """A scored sentence plus everything a diagnostic export needs.
 
-    span_filter ranks the whole SpanGrid(instance.length, max_span_width)
+    span_filter ranks the whole L*M span grid (flat index start * M +
+    width, as enumerate_spans(instance.length, max_span_width) lists it)
     and pair_filter the K*K head-major pairs over the kept spans (flat
     index head * K + tail); both keep their full ranking-score vectors
     and, when depth is at least 1 and anything survived, the last READ
@@ -140,16 +138,14 @@ def forward(
 
     emb = encode_tokens(tokens, params.dim, config.seed)
     length = emb.length
-    spans = SpanGrid(length, params.max_span_width)
-    # The rows of span_representations, without building all L*M of them.
-    span_cells = span_rows(emb, spans, params.span_proj)
+    spans = span_grid(emb, params.max_span_width, params.span_proj)
     k_span = (
         config.k_span
         if config.k_span is not None
         else default_k_span(length, params.max_span_width)
     )
     span_fr = filter_and_refine(
-        span_cells,
+        spans,
         emb.vectors,
         k_span,
         params.span_filter,
@@ -161,7 +157,6 @@ def forward(
     )
     entity_logits = classify_spans(span_fr.representations, params.entity_head)
 
-    # The rows of relation_representations, without building all K*K of them.
     pairs = pair_grid(span_fr.representations, params.relation_proj)
     k_rel = config.k_rel if config.k_rel is not None else k_span
     pair_fr = filter_and_refine(
@@ -172,16 +167,16 @@ def forward(
         params.relation_read,
         params.relation_process_attn,
         params.relation_process_ffn,
-        valid=pairs.valid(),
+        valid=pairs.valid,
         depth=config.depth,
     )
     relation_logits = classify_relations(pair_fr.representations, params.relation_head)
 
-    kept_spans = np.array(span_fr.kept_indices, dtype=np.intp)
-    heads, tails = np.divmod(np.array(pair_fr.kept_indices, dtype=np.intp), pairs.k)
+    starts, ends = spans.endpoints(span_fr.kept_indices)
+    heads, tails = pairs.endpoints(pair_fr.kept_indices)
     instance = ScoredInstance(
         length=length,
-        spans=tuple(zip(spans.starts[kept_spans].tolist(), spans.ends[kept_spans].tolist())),
+        spans=tuple(zip(starts.tolist(), ends.tolist())),
         entity_logits=entity_logits,
         pairs=tuple(zip(heads.tolist(), tails.tolist())),
         relation_logits=relation_logits,

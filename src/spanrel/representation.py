@@ -1,39 +1,42 @@
 """Token embeddings, span enumeration, span/relation representations and
 classification heads, and the additive type-bias table.
 
-Span candidates for a sentence of length L with maximum width M are laid out
-as a fixed L*M grid ordered by (start, width); candidates that would run past
-the end of the sentence are kept in the grid but marked invalid.  Grid index
-i is the span starting at i // M and ending at i // M + i % M.  Relation
-candidates over K spans are the K*K ordered pairs in head-major order
-(flat index = head * K + tail); self-pairs are generated but marked invalid.
+Both candidate sets are one kind of grid.  A representation is a
+projection of concat(left, right) through a 2D x D matrix, computed in
+factored form: the row for (a, b) is L[a] + R[b] with L = X @ W[:D] and
+R = X @ W[D:], so each endpoint is projected once.  A CandidateGrid holds
+the two factors of a row-major (A, W) grid whose cell (a, w), at flat
+index a * W + w, is head[a] + tail[a * step + w]:
 
-Span and pair rows are projections of concat(left, right) through a 2D x D
-matrix, computed in factored form: the row for (a, b) is L[a] + R[b] with
-L = X @ W[:D] and R = X @ W[D:], so each endpoint is projected once.  The
-forward pass builds neither the L*M span matrix nor the K*K pair grid.
-SpanRows and PairGrid hold the two factors of their grid and rank every
-cell through the factored first layer of the ranking feed-forward,
-(L @ W1 + b1)[a] + (R @ W1)[b]; D-wide rows are built only for the cells
-kept.  The pair grid is ranked a block of head rows at a time through one
-fixed buffer, so its memory grows with K, not K*K.
+* spans of a sentence of length L with maximum width M: step 1, cell
+  (start, width) is the span start..start+width; cells that run past the
+  end stay in the grid but are invalid.
+* ordered pairs over K spans: step 0, cell (head, tail); self-pairs stay in
+  the grid but are invalid.
+
+The grid ranks every cell through the factored first layer of the ranking
+feed-forward, a block of grid rows at a time through one fixed buffer, so
+the forward pass builds neither the L*M span matrix nor the K*K pair grid;
+D-wide rows are built only for the cells kept.  enumerate_spans,
+span_representations and relation_representations are dense views of the
+same grids.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .numerics import NEG_SENTINEL, FeedForwardParams, feed_forward, make_rng, scalar_head
+from .numerics import FeedForwardParams, feed_forward, make_rng, scalar_head
 
 # Token vectors cached per (token, dim, seed); about 5 MB at dim 64.
 TOKEN_CACHE_SIZE = 8192
-# Head rows of the pair grid ranked per step: the ranking buffer is
-# PAIR_BLOCK x K x hidden floats.
-PAIR_BLOCK = 16
+# Cells of a candidate grid ranked per step: the ranking buffer holds
+# max(16, RANK_BLOCK // W) grid rows of W cells x hidden floats.
+RANK_BLOCK = 2048
 
 NULL_ENTITY = "non-entity"
 NULL_RELATION = "no-relation"
@@ -144,36 +147,14 @@ class SpanCandidate:
     valid: bool
 
 
-@dataclass(frozen=True)
-class SpanGrid:
-    """The L*M candidate grid as index arrays: starts, inclusive ends and
-    the valid mask, in grid order (see the module docstring)."""
-
-    length: int
-    max_width: int
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
-    valid: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.length < 1 or self.max_width < 1:
-            raise ValueError("length and max_width must be positive")
-        starts, widths = np.divmod(np.arange(self.length * self.max_width), self.max_width)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "ends", starts + widths)
-        object.__setattr__(self, "valid", self.ends < self.length)
-
-
 def enumerate_spans(length: int, max_width: int) -> list[SpanCandidate]:
     """All L*M candidates ordered by (start, width); (i, i+w) is invalid iff
     i+w runs past the last token."""
-    grid = SpanGrid(length, max_width)
-    return [
-        SpanCandidate(start, end, valid)
-        for start, end, valid in zip(
-            grid.starts.tolist(), grid.ends.tolist(), grid.valid.tolist()
-        )
-    ]
+    if length < 1 or max_width < 1:
+        raise ValueError("length and max_width must be positive")
+    starts, widths = np.divmod(np.arange(length * max_width), max_width)
+    ends = (starts + widths).tolist()
+    return [SpanCandidate(s, e, e < length) for s, e in zip(starts.tolist(), ends)]
 
 
 def valid_span_count(length: int, max_width: int) -> int:
@@ -194,118 +175,101 @@ def _endpoint_factors(
 
 
 @dataclass(frozen=True)
-class SpanRows:
-    """The rows of a SpanGrid, concat(x[start], x[end]) @ w_ent, in factored
-    form: row i is left[starts[i]] + right[ends[i]]; no L*M x D matrix is
-    built unless rows() is asked for every index."""
+class CandidateGrid:
+    """A row-major (A, W) grid of candidate rows in factored form.
 
-    grid: SpanGrid
-    left: np.ndarray  # (L, D) embeddings @ w_ent[:D]
-    right: np.ndarray  # (L, D) embeddings @ w_ent[D:]
+    Cell (a, w) has flat index a * W + w and row head[a] + tail[a * step + w];
+    no A*W x D matrix is built unless rows() is asked for every cell.  valid
+    masks the flat cells.  See the module docstring for the two grids.
+    """
 
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        """Representation rows of the given grid indices (valid ones only)."""
-        index = np.asarray(index, dtype=np.intp)
-        return self.left[self.grid.starts[index]] + self.right[self.grid.ends[index]]
+    head: np.ndarray  # (A, D)
+    tail: np.ndarray  # ((A - 1) * step + W, D)
+    width: int
+    step: int
+    valid: np.ndarray  # (A * W,) bool
+
+    def endpoints(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """(a, a * step + w) of the given flat cells: a span's (start, end),
+        a pair's (head, tail)."""
+        a, w = np.divmod(np.asarray(index, dtype=np.intp), self.width)
+        return a, a * self.step + w
+
+    def rows(self, index) -> np.ndarray:
+        """Representation rows of the given flat cells."""
+        a, t = self.endpoints(index)
+        return self.head[a] + self.tail[t]
+
+    def _windows(self, x: np.ndarray) -> np.ndarray:
+        """(A, W, ...) view of x[a * step + w] for a C-contiguous x: no copy."""
+        shape = (len(self.head), self.width, *x.shape[1:])
+        strides = (self.step * x.strides[0], *x.strides)
+        return np.ndarray(shape, x.dtype, buffer=x, strides=strides)
 
     def rank(self, ffn: FeedForwardParams) -> np.ndarray:
-        """Ranking score of every grid cell, the sentinel on invalid ones,
-        through the factored first layer: no L*M x D x hidden product."""
-        valid = self.grid.valid
-        hidden = (self.left @ ffn.w1 + ffn.b1)[self.grid.starts[valid]]
-        hidden += (self.right @ ffn.w1)[self.grid.ends[valid]]
-        np.maximum(hidden, 0.0, out=hidden)
-        scores = np.full(valid.shape, NEG_SENTINEL)
-        scores[valid] = scalar_head(hidden, ffn) + ffn.b2[0]
-        return scores
+        """Ranking score of every cell in flat order, invalid ones included,
+        through the factored first layer a = head @ W1 + b1, b = tail @ W1.
+        Scores w2 . relu(a + b) are summed as w2 . max(a, -b) + w2 . b, one
+        pass over a (rows, W, hidden) buffer per block of grid rows, instead
+        of an A*W x hidden one."""
+        a = self.head @ ffn.w1 + ffn.b1
+        b = self.tail @ ffn.w1
+        neg_b = self._windows(-b)
+        n, block_rows = len(a), max(16, RANK_BLOCK // max(1, self.width))
+        buf = np.empty((min(block_rows, n), self.width, a.shape[1]))
+        scores = np.empty((n, self.width))
+        for lo in range(0, n, block_rows):
+            block = buf[: min(block_rows, n - lo)]
+            hi = lo + len(block)
+            np.maximum(a[lo:hi, None, :], neg_b[lo:hi], out=block)
+            scores[lo:hi] = scalar_head(block, ffn)
+        scores += self._windows(scalar_head(b, ffn) + ffn.b2[0])
+        return scores.ravel()
 
 
-def span_rows(embeddings: TokenEmbeddings, grid: SpanGrid, w_ent: np.ndarray) -> SpanRows:
-    """The factored rows of the span grid over one sentence's embeddings."""
-    if grid.length != embeddings.length:
-        raise ValueError("span grid length does not match the sentence")
-    return SpanRows(grid, *_endpoint_factors(embeddings.vectors, w_ent, "w_ent"))
+def span_grid(
+    embeddings: TokenEmbeddings, max_width: int, w_ent: np.ndarray
+) -> CandidateGrid:
+    """The L*M span grid concat(x[start], x[end]) @ w_ent, step 1.
+
+    The tail factor carries max_width - 1 zero rows past the sentence, so
+    every window stays in bounds; the cells that read them are invalid.
+    """
+    if max_width < 1:
+        raise ValueError("max_width must be positive")
+    left, right = _endpoint_factors(embeddings.vectors, w_ent, "w_ent")
+    tail = np.concatenate([right, np.zeros((max_width - 1, right.shape[1]))])
+    starts, widths = np.divmod(np.arange(embeddings.length * max_width), max_width)
+    return CandidateGrid(left, tail, max_width, 1, starts + widths < embeddings.length)
+
+
+def pair_grid(span_reps: np.ndarray, w_rel: np.ndarray) -> CandidateGrid:
+    """The K*K ordered-pair grid w_rel^T (head ++ tail), step 0; self-pairs
+    are cells but invalid."""
+    head, tail = _endpoint_factors(span_reps, w_rel, "w_rel")
+    k = len(head)
+    return CandidateGrid(head, tail, k, 0, ~np.eye(k, dtype=bool).ravel())
 
 
 def span_representations(
-    embeddings: TokenEmbeddings, spans: SpanGrid, w_ent: np.ndarray
+    embeddings: TokenEmbeddings, max_width: int, w_ent: np.ndarray
 ) -> np.ndarray:
-    """Project concat(start embedding, end embedding) through w_ent (2D x D).
-
-    Row k is grid cell k; invalid cells get a zero row.  The dense form of
-    span_rows(...): its rows equal SpanRows.rows() exactly.
-    """
-    if spans.length != embeddings.length:
-        raise ValueError("span grid length does not match the sentence")
-    left, right = _endpoint_factors(embeddings.vectors, w_ent, "w_ent")
-    valid = spans.valid
-    out = np.zeros((valid.size, embeddings.dim), dtype=np.float64)
-    out[valid] = left[spans.starts[valid]] + right[spans.ends[valid]]
-    return out
-
-
-@dataclass(frozen=True)
-class PairGrid:
-    """The K*K ordered-pair grid w_rel^T (head ++ tail) in factored form.
-
-    Row head * K + tail is head_part[head] + tail_part[tail]; no K*K x D
-    matrix is built unless rows() is asked for every index.
-    """
-
-    head_part: np.ndarray  # (K, D) span_reps @ w_rel[:D]
-    tail_part: np.ndarray  # (K, D) span_reps @ w_rel[D:]
-
-    @property
-    def k(self) -> int:
-        return self.head_part.shape[0]
-
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        """Representation rows of the given flat pair indices."""
-        heads, tails = np.divmod(np.asarray(index, dtype=np.int64), self.k)
-        return self.head_part[heads] + self.tail_part[tails]
-
-    def rank(self, ffn: FeedForwardParams) -> np.ndarray:
-        """Ranking score of every pair in flat-index order, self-pairs
-        included, through the factored first layer a = head_part @ W1 + b1,
-        b = tail_part @ W1.  Scores w2 . relu(a + b) are summed as
-        w2 . max(a, -b) + w2 . b, one pass over a PAIR_BLOCK x K x hidden
-        buffer per block of head rows, instead of a K*K x hidden one."""
-        k = self.k
-        a = self.head_part @ ffn.w1 + ffn.b1
-        b = self.tail_part @ ffn.w1
-        neg_b = -b
-        buf = np.empty((min(PAIR_BLOCK, k), k, a.shape[1]))
-        scores = np.empty((k, k))
-        for lo in range(0, k, PAIR_BLOCK):
-            block = buf[: min(PAIR_BLOCK, k - lo)]
-            np.maximum(a[lo : lo + PAIR_BLOCK, None, :], neg_b[None, :, :], out=block)
-            scores[lo : lo + len(block)] = scalar_head(block, ffn)
-        scores += scalar_head(b, ffn) + ffn.b2[0]
-        return scores.ravel()
-
-    def valid(self) -> np.ndarray:
-        """Flat mask of off-diagonal (head != tail) pairs."""
-        return ~np.eye(self.k, dtype=bool).ravel()
-
-
-def pair_grid(span_reps: np.ndarray, w_rel: np.ndarray) -> PairGrid:
-    """The factored K*K pair grid over K span representations."""
-    return PairGrid(*_endpoint_factors(span_reps, w_rel, "w_rel"))
+    """Dense rows of span_grid(...): row k is grid cell k, zero if invalid."""
+    grid = span_grid(embeddings, max_width, w_ent)
+    rows = grid.rows(np.arange(grid.valid.size))
+    rows[~grid.valid] = 0.0
+    return rows
 
 
 def relation_representations(
     span_reps: np.ndarray, w_rel: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
-    """All K*K ordered-pair representations w_rel^T (head ++ tail), dense.
-
-    Returns (reps, pairs, valid) where pairs[i] = divmod(i, K) is (head,
-    tail) and valid marks off-diagonal pairs; self-pairs carry a
-    representation row but are masked out downstream.  Rows equal
-    pair_grid(...).rows() exactly.
-    """
+    """Dense rows of pair_grid(...), with pairs[i] = divmod(i, K) as (head,
+    tail) and the valid mask of off-diagonal pairs."""
     grid = pair_grid(span_reps, w_rel)
-    pairs = [(h, t) for h in range(grid.k) for t in range(grid.k)]
-    return grid.rows(np.arange(grid.k * grid.k)), pairs, grid.valid()
+    k = grid.width
+    pairs = [(h, t) for h in range(k) for t in range(k)]
+    return grid.rows(np.arange(k * k)), pairs, grid.valid
 
 
 def classify_spans(span_reps: np.ndarray, head_params) -> np.ndarray:
@@ -385,15 +349,13 @@ __all__ = [
     "TypeInventory",
     "TokenEmbeddings",
     "SpanCandidate",
-    "SpanGrid",
-    "SpanRows",
-    "PairGrid",
+    "CandidateGrid",
     "BiasTable",
     "encode_tokens",
     "enumerate_spans",
     "valid_span_count",
+    "span_grid",
     "span_representations",
-    "span_rows",
     "pair_grid",
     "relation_representations",
     "classify_spans",

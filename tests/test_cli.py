@@ -186,6 +186,25 @@ def test_decode_verify_roundtrip(tmp_path):
         assert "ok: no violations" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "tokens, flags", [(["Paris"], []), (["anna", "met", "lena"], ["--k-span", "1"])]
+)
+def test_sentence_without_pairs_decodes_and_verifies(tmp_path, tokens, flags):
+    """One kept span leaves no pair candidates, so the score file holds
+    relation_logits []; it loads as a (0, types) grid and every algorithm
+    decodes it and verifies clean."""
+    sentences = tmp_path / "sentences.json"
+    write_json(str(sentences), {"sentences": [{"tokens": tokens}]})
+    scores = str(tmp_path / "scores.json")
+    assert cli.main(["score", str(sentences), PARAMS, "-o", scores, *flags]) == 0
+    assert json.loads(Path(scores).read_text())["sentences"][0]["relation_logits"] == []
+    for algo in ("unconstrained", "entity-first", "joint", "relation-first"):
+        out = str(tmp_path / f"{algo}.json")
+        argv = ["decode", scores, "-o", out, "--algorithm", algo, "--constraints", "conll04"]
+        assert cli.main(argv) == 0, algo
+        assert cli.main(["verify", out, scores]) == 0, algo
+
+
 def test_overlap_fixture_decodes(tmp_path):
     """Hand-checkable fixture: 4 spans, 2 pairs, integer logits.
 

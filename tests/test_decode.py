@@ -718,6 +718,23 @@ def test_bundled_constraints_block_forbidden_triples():
             assert (st.entity_labels[h], st.entity_labels[t]) != (peop, peop)
 
 
+def test_whitelist_holds_when_permitted_cells_score_below_the_sentinel():
+    """Relation logits of -1e300 put every permitted cell far below
+    NEG_SENTINEL; a forbidden cell still never wins, so each constrained
+    decoder leaves the (Peop, Org) pair null, not Live_in."""
+    cons = load_constraint_set("conll04")
+    inv = cons.inventory
+    ent = np.full((2, inv.num_entity_types), -1.0)
+    ent[0, inv.entity_index("Peop")] = 4.0
+    ent[1, inv.entity_index("Org")] = 4.0
+    rel = np.full((1, inv.num_relation_types), -1e300)
+    inst = ScoredInstance(5, ((0, 0), (3, 4)), ent, ((0, 1),), rel, inv)
+    for algorithm in ("entity_first", "joint", "relation_first"):
+        st = decode(inst, algorithm, cons, use_bias=False)
+        assert st.relation_labels == (0,), algorithm
+        assert check_constraints(st, cons, inst) == [], algorithm
+
+
 def test_violation_reporting_reads_well():
     v = Violation("whitelist", "relation Kill not allowed between Peop and Loc")
     assert "Kill" in v.detail and v.kind == "whitelist"

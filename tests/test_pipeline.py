@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -142,3 +143,28 @@ def test_traced_names_resolve():
     for module_name, attr, _ in wrapped:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_tracer_counts_valid_and_kept_candidates(small_params):
+    """perfbench/spantrace.py, installed around one forward, reads the
+    valid mask that forward passes to filter_and_refine by keyword: its
+    counts are the valid spans, the K(K-1) off-diagonal pairs and the kept
+    candidates of each level."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spantrace.py"
+    if not path.is_file():
+        pytest.skip("perfbench/spantrace.py is absent")
+    spec = importlib.util.spec_from_file_location("spantrace", path)
+    spantrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spantrace)
+    pipeline = importlib.import_module("spanrel.pipeline")
+    tracer = spantrace.Tracer()
+    with tracer.installed():
+        result = pipeline.forward(TOKENS, small_params)
+    counts = tracer.counters
+    k = len(result.instance.spans)
+    assert counts["filter_refine.span.valid"] == valid_span_count(
+        len(TOKENS), small_params.max_span_width
+    )
+    assert counts["filter_refine.pair.valid"] == k * (k - 1)
+    assert counts["filter_refine.span.kept"] == len(result.span_filter.kept_indices)
+    assert counts["filter_refine.pair.kept"] == len(result.pair_filter.kept_indices)

@@ -18,13 +18,15 @@ from spanrel import (
     encode_tokens,
     enumerate_spans,
     make_rng,
+    ranking_scores,
     relation_representations,
     span_representations,
     feed_forward,
     valid_span_count,
 )
+from spanrel import representation
 from spanrel.numerics import NEG_SENTINEL, FeedForwardParams
-from spanrel.representation import SpanGrid, pair_grid, span_rows
+from spanrel.representation import pair_grid, span_grid
 
 
 def test_inventory_nulls_first():
@@ -81,8 +83,7 @@ def test_span_representations_endpoints():
     rng = make_rng(0)
     emb = encode_tokens(["a", "b", "c"], dim=4, seed=0)
     w = rng.normal(size=(8, 4))
-    spans = SpanGrid(3, 2)
-    reps = span_representations(emb, spans, w)
+    reps = span_representations(emb, 2, w)
     assert reps.shape == (6, 4)
     # row = concat(start vec, end vec) @ w
     cat = np.concatenate([emb.vectors[1], emb.vectors[2]])
@@ -90,7 +91,7 @@ def test_span_representations_endpoints():
     # invalid span rows are zeroed
     assert np.array_equal(reps[5], np.zeros(4))
     with pytest.raises(ValueError):
-        span_representations(emb, spans, rng.normal(size=(4, 4)))
+        span_representations(emb, 2, rng.normal(size=(4, 4)))
 
 
 def _ranking_ffn(rng, d, hidden=6):
@@ -102,39 +103,51 @@ def _ranking_ffn(rng, d, hidden=6):
     )
 
 
-def test_span_rows_rank_without_building_rows():
-    rng = make_rng(4)
-    emb = encode_tokens(["a", "b", "c", "a", "d"], dim=4, seed=0)
-    w = rng.normal(size=(8, 4))
-    grid = SpanGrid(5, 3)
-    factored = span_rows(emb, grid, w)
-    dense = span_representations(emb, grid, w)
-    index = np.flatnonzero(grid.valid)
-    assert np.array_equal(factored.rows(index), dense[index])
-    ffn = _ranking_ffn(rng, 4)
-    scores = factored.rank(ffn)
-    assert np.allclose(scores[index], feed_forward(dense[index], ffn)[:, 0], atol=1e-12)
-    assert (scores[~grid.valid] == NEG_SENTINEL).all()
-    # spans (0, 0) and (3, 3) both cover the token "a", so they score equal
-    assert scores[0] == scores[3 * 3]
-    with pytest.raises(ValueError):
-        span_rows(emb, grid, rng.normal(size=(4, 4)))
-    with pytest.raises(ValueError):
-        span_rows(emb, SpanGrid(4, 3), w)
+GRIDS = [("span", n, m) for n in (1, 5, 17) for m in (1, 3, 12)]
+GRIDS += [("pair", k, k) for k in (1, 2, 15, 16, 17, 33)]
 
 
-@pytest.mark.parametrize("k", [1, 2, 15, 16, 17, 33])
-def test_pair_grid_rank_matches_dense(k):
-    rng = make_rng(5 + k)
-    span_reps = rng.normal(size=(k, 4))
+@pytest.mark.parametrize("shift", [0, -1, 1], ids=["block", "block-1", "block+1"])
+@pytest.mark.parametrize("kind, n, width", GRIDS, ids=[f"{g[0]}-{g[1]}x{g[2]}" for g in GRIDS])
+def test_grid_rank_matches_dense(kind, n, width, shift, monkeypatch):
+    """Both grids rank through one kernel: its rows are the dense rows, its
+    scores the dense feed-forward's, a block of grid rows at a time.  A
+    shift makes the block one row shorter or longer than the grid, down to
+    the 16-row floor."""
+    if shift:
+        monkeypatch.setattr(representation, "RANK_BLOCK", width * (n + shift))
+    rng = make_rng(5 + n + width)
     w = rng.normal(size=(8, 4))
     ffn = _ranking_ffn(rng, 4)
-    grid = pair_grid(span_reps, w)
-    reps, _, _ = relation_representations(span_reps, w)
+    if kind == "span":
+        # a period-3 sentence, so equal spans recur
+        emb = encode_tokens([("a", "b", "c")[i % 3] for i in range(n)], dim=4, seed=0)
+        grid = span_grid(emb, width, w)
+        x, spans = emb.vectors, enumerate_spans(n, width)
+        heads = np.array([s.start for s in spans])
+        tails = np.array([s.end for s in spans])
+        valid = np.array([s.valid for s in spans])
+    else:
+        x = rng.normal(size=(3, 4))[np.arange(n) % 3]
+        grid = pair_grid(x, w)
+        heads, tails = np.divmod(np.arange(n * n), n)
+        valid = heads != tails
+    cells = np.flatnonzero(valid) if kind == "span" else np.arange(n * width)
+    dense = (x @ w[:4])[heads[cells]] + (x @ w[4:])[tails[cells]]
+    assert np.array_equal(grid.valid, valid)
+    assert np.array_equal(grid.rows(cells), dense)
     scores = grid.rank(ffn)
-    assert scores.shape == (k * k,)
-    assert np.allclose(scores, feed_forward(reps, ffn)[:, 0], atol=1e-12)
-    assert np.array_equal(grid.rows(np.arange(k * k)), reps)
+    assert scores.shape == (n * width,)
+    assert np.allclose(scores[cells], feed_forward(dense, ffn)[:, 0], rtol=0, atol=1e-12)
+    masked = ranking_scores(grid, ffn, valid=grid.valid)
+    assert np.array_equal(masked[valid], scores[valid])
+    assert (masked[~valid] == NEG_SENTINEL).all()
+    # equal rows get equal scores
+    groups, inverse = np.unique(dense, axis=0, return_inverse=True)
+    first = np.empty(len(groups))
+    first[inverse] = scores[cells]
+    assert np.array_equal(scores[cells], first[inverse])
+    assert n <= 3 or len(groups) < len(cells)
 
 
 def test_relation_representations():
