@@ -30,16 +30,19 @@ from .formats import (
     BUNDLED_CONSTRAINTS,
     FormatError,
     load_constraint_set,
+    load_document,
     load_score_file,
     load_sentences,
     load_structure_file,
-    read_json,
+    read_json_stdlib,
     score_document,
     structure_document,
     structures_from_doc,
-    validate_document,
     write_json,
 )
+# The CLI reads through load_document; perfbench/spantrace.py wraps these
+# two names here, so they stay importable from this module.
+from .formats import read_json, validate_document  # noqa: F401
 from .params import init_params, params_from_json, params_to_json
 from .pipeline import RunConfig, forward, normalize_algorithm
 from .representation import TypeInventory
@@ -49,7 +52,7 @@ def _env_config() -> dict:
     path = os.environ.get("SPANREL_CONFIG")
     if not path:
         return {}
-    doc = read_json(path)
+    doc = read_json_stdlib(path)  # RunConfig, not a schema, checks it
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: config file must hold a JSON object")
     known = {f.name for f in dataclass_fields(RunConfig)}
@@ -75,8 +78,7 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_params(path: str):
-    doc = read_json(path)
-    validate_document(doc, "params")
+    doc = load_document(path, "params")
     try:
         return params_from_json(doc)
     except (KeyError, ValueError) as exc:

@@ -6,12 +6,18 @@ offending location.  Files are read and written as UTF-8.  Writers emit
 canonical JSON: compact, keys sorted, ASCII only, trailing newline, so
 identical data is byte-identical on disk.  Readers accept any JSON
 whitespace, so indented files written by earlier versions still load.
+
+orjson parses and writes every document.  The stdlib json module is the
+reader and encoder of last resort: it decides every file orjson refuses
+or reads differently, and encodes what orjson cannot, so verdicts and
+messages are the ones it gives.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Iterable, Sequence
 from importlib import resources
 from itertools import chain
@@ -19,6 +25,7 @@ from typing import NamedTuple
 
 import jsonschema
 import numpy as np
+import orjson
 
 from .decode import (
     ConstraintSet,
@@ -28,7 +35,7 @@ from .decode import (
 )
 from .objectives import GoldAnnotation
 from .params import bias_from_json, bias_to_json
-from .pipeline import ForwardResult
+from .pipeline import SHOWN_MAX, ForwardResult
 from .representation import TypeInventory
 
 SCHEMA_NAMES = ("sentences", "params", "score", "structure", "constraints", "gold")
@@ -324,9 +331,6 @@ def _first_error(validator, value: object, spec) -> tuple[list, jsonschema.Valid
     return [step, *where], error
 
 
-_SHOWN_MAX = 80  # the longest repr of an array or object a message prints
-
-
 def _message(error: jsonschema.ValidationError, whole: bool) -> str:
     """jsonschema's message, but an array or object that heads it is named
     by its JSON type when it is the whole document or its repr is long."""
@@ -334,7 +338,7 @@ def _message(error: jsonschema.ValidationError, whole: bool) -> str:
     shown = repr(value) if isinstance(value, (list, dict)) else None
     if shown is None or not error.message.startswith(shown):
         return error.message
-    if len(shown) <= _SHOWN_MAX and not whole:
+    if len(shown) <= SHOWN_MAX and not whole:
         return error.message
     kind = "an array" if isinstance(value, list) else "an object"
     return kind + error.message[len(shown):]
@@ -376,7 +380,9 @@ def validate_document(doc: object, schema_name: str) -> None:
         raise FormatError(f"invalid {schema_name} document at {where}: {message}")
 
 
-def read_json(path: str) -> object:
+def read_json_stdlib(path: str) -> object:
+    """The file as the stdlib json module reads it: integers of any size,
+    NaN and infinities as floats, nesting up to the recursion limit."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -388,21 +394,83 @@ def read_json(path: str) -> object:
         raise FormatError(f"{path}: JSON nested too deeply to read") from exc
 
 
+def read_json(path: str) -> object:
+    """The file parsed by orjson; a file orjson refuses (NaN, 1e400, a BOM,
+    invalid UTF-8, a lone surrogate, broken syntax) by read_json_stdlib."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return read_json_stdlib(path)
+
+
+def load_document(path: str, schema_name: str) -> object:
+    """Read path and validate it as a schema_name document.
+
+    orjson reads an integer beyond 64 bits as a float and has no nesting
+    limit, and both show only when validation refuses the document.  So a
+    refused document is read again by read_json_stdlib and validated
+    again, and that verdict stands."""
+    doc = read_json(path)
+    try:
+        validate_document(doc, schema_name)
+    except (FormatError, RecursionError):
+        doc = read_json_stdlib(path)
+        validate_document(doc, schema_name)
+    return doc
+
+
+_NON_ASCII = re.compile("[\x7f-\U0010ffff]")
+
+
+def _ascii_escape(match: re.Match) -> str:
+    """json's escape of one character: \\u00e9, or a surrogate pair."""
+    code = ord(match.group())
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+
+
+def _stdlib_canonical(doc: object) -> str:
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
+
+
+def _canonical_bytes(doc: object) -> bytes:
+    try:
+        data = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:
+        # numpy scalars, integers beyond 64 bits, lone surrogates, deep nesting
+        return _stdlib_canonical(doc).encode("ascii")
+    if b"null" in data:
+        _stdlib_canonical(doc)  # orjson writes NaN and infinities as null
+    if not data.isascii() or b"\x7f" in data:
+        # Outside strings orjson writes ASCII only.
+        data = _NON_ASCII.sub(_ascii_escape, data.decode("utf-8")).encode("ascii")
+    return data
+
+
 def dump_canonical(doc: object) -> str:
     """Compact, key-sorted, ASCII-only JSON with a trailing newline.
 
-    Without indent, json runs its C encoder; floats are written by
-    float.__repr__ either way, so values round-trip exactly."""
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
+    Characters past ASCII, and DEL, are escaped as json escapes them.
+    Floats are written as orjson writes them, the shortest text that reads
+    back to the same float: repr's text for 1e-4 <= |x| < 1e16, elsewhere
+    without a "+" or a leading zero in the exponent (1e-7, -1e30) and in
+    positional form down to 1e-5 (0.00009999).  NaN and infinities raise
+    ValueError.  What orjson cannot encode (numpy scalars, integers beyond
+    64 bits) is written by the stdlib encoder, with repr's floats."""
+    return _canonical_bytes(doc).decode("ascii")
 
 
 def write_json(path: str, doc: object) -> None:
     try:
-        text = dump_canonical(doc)
+        data = _canonical_bytes(doc)
     except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
         raise FormatError(f"{path} not written: {exc}") from exc
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +478,7 @@ def write_json(path: str, doc: object) -> None:
 
 
 def load_sentences(path: str) -> list[tuple[str, ...]]:
-    doc = read_json(path)
-    validate_document(doc, "sentences")
+    doc = load_document(path, "sentences")
     return [tuple(entry["tokens"]) for entry in doc["sentences"]]
 
 
@@ -503,8 +570,7 @@ def instances_from_score_doc(doc: dict) -> list[ScoredInstance]:
 
 
 def load_score_file(path: str) -> tuple[dict, list[ScoredInstance]]:
-    doc = read_json(path)
-    validate_document(doc, "score")
+    doc = load_document(path, "score")
     return doc, instances_from_score_doc(doc)
 
 
@@ -585,8 +651,7 @@ def structures_from_doc(
 
 
 def load_structure_file(path: str) -> dict:
-    doc = read_json(path)
-    validate_document(doc, "structure")
+    doc = load_document(path, "structure")
     return doc
 
 
@@ -605,11 +670,11 @@ def load_constraint_set(name_or_path: str) -> ConstraintSet:
             .read_text(encoding="utf-8")
         )
         doc = json.loads(text)
+        validate_document(doc, "constraints")
         origin = f"bundled:{name_or_path}"
     else:
-        doc = read_json(name_or_path)
+        doc = load_document(name_or_path, "constraints")
         origin = name_or_path
-    validate_document(doc, "constraints")
     try:
         return constraints_from_doc(doc, origin=origin)
     except (KeyError, ValueError) as exc:
@@ -621,8 +686,7 @@ def load_constraint_set(name_or_path: str) -> ConstraintSet:
 
 
 def load_gold(path: str) -> list[GoldAnnotation]:
-    doc = read_json(path)
-    validate_document(doc, "gold")
+    doc = load_document(path, "gold")
     out = []
     for pos, entry in enumerate(doc["sentences"]):
         try:
@@ -649,12 +713,14 @@ __all__ = [
     "dump_canonical",
     "instances_from_score_doc",
     "load_constraint_set",
+    "load_document",
     "load_gold",
     "load_schema",
     "load_score_file",
     "load_sentences",
     "load_structure_file",
     "read_json",
+    "read_json_stdlib",
     "score_document",
     "structure_document",
     "structures_from_doc",

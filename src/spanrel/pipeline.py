@@ -36,11 +36,20 @@ from .representation import (  # noqa: F401
 )
 
 
+SHOWN_MAX = 80  # the longest repr of a value an error message prints
+
+
+def shown(value: object) -> str:
+    """repr(value) for a message, cut short after SHOWN_MAX characters."""
+    text = repr(value)
+    return text if len(text) <= SHOWN_MAX else text[:SHOWN_MAX] + "..."
+
+
 def normalize_algorithm(name: str) -> str:
     """Accept CLI spellings (entity-first) for internal names (entity_first)."""
     canon = name.replace("-", "_")
     if canon not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {name!r}; pick from {ALGORITHMS}")
+        raise ValueError(f"unknown algorithm {shown(name)}; pick from {ALGORITHMS}")
     return canon
 
 
@@ -89,14 +98,14 @@ class RunConfig:
             v = getattr(self, name)
             if name in ("depth", "seed") or v is not None:
                 if isinstance(v, bool) or not isinstance(v, int):
-                    raise TypeError(f"{name} must be an integer, got {v!r}")
+                    raise TypeError(f"{name} must be an integer, got {shown(v)}")
         m = self.margin
         if isinstance(m, bool) or not isinstance(m, (int, float)) or not _finite(m):
-            raise TypeError(f"margin must be a finite number, got {m!r}")
+            raise TypeError(f"margin must be a finite number, got {shown(m)}")
         if not isinstance(self.algorithm, str):
-            raise TypeError(f"algorithm must be a string, got {self.algorithm!r}")
+            raise TypeError(f"algorithm must be a string, got {shown(self.algorithm)}")
         if not isinstance(self.use_bias, bool):
-            raise TypeError(f"use_bias must be true or false, got {self.use_bias!r}")
+            raise TypeError(f"use_bias must be true or false, got {shown(self.use_bias)}")
 
 
 @dataclass(frozen=True)

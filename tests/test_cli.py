@@ -478,6 +478,22 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "value",
+    [{"algorithm": "x" * 200_000}, {"seed": list(range(100_000))}],
+    ids=["long-string", "long-array"],
+)
+def test_a_long_config_value_is_cut_short(tmp_path, monkeypatch, capsys, value):
+    """A long config value is refused in one short line, not printed whole."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(value))
+    monkeypatch.setenv("SPANREL_CONFIG", str(cfg))
+    assert cli.main(["score", SENTENCES, PARAMS, "-o", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.encode()) < 1024
+
+
 def test_dump_attention_matches_golden(tmp_path):
     outdir = tmp_path / "att"
     proc = run_cli(

@@ -1,4 +1,5 @@
-"""Document checks: schemas, canonical JSON, round trips, bundled tables."""
+"""Document checks: schemas, canonical JSON, round trips, bundled tables,
+and reading and writing that agree with the stdlib json module."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
+import spanrel.cli as cli
 from spanrel import (
     ConstraintSet,
     FormatError,
@@ -62,6 +65,7 @@ def test_dump_canonical_is_stable():
     assert a.endswith("\n")
     assert a.index('"a"') < a.index('"b"')
     assert dump_canonical({"b": None, "a": [1, 2.5, "é"]}) == '{"a":[1,2.5,"\\u00e9"],"b":null}\n'
+    assert dump_canonical(["😀", "\x7f"]) == '["\\ud83d\\ude00","\\u007f"]\n'
 
 
 def _bits(doc):
@@ -109,9 +113,11 @@ def test_indented_fixtures_reencode_exactly(tmp_path, name):
 
 def test_write_json_refuses_non_finite(tmp_path):
     p = tmp_path / "x.json"
-    for value in (float("nan"), float("inf"), -float("inf")):
+    docs = [{"objective": value} for value in (float("nan"), float("inf"), -float("inf"))]
+    docs.append({"constraints": None, "objective": float("nan")})
+    for doc in docs:
         with pytest.raises(FormatError) as err:
-            write_json(str(p), {"objective": value})
+            write_json(str(p), doc)
         assert "not written" in str(err.value)
         assert not p.exists()
 
@@ -329,3 +335,139 @@ def test_load_gold(tmp_path):
     with pytest.raises(FormatError) as err:
         load_gold(str(p))
     assert "gold sentence 0" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# orjson reads and writes; the stdlib json module decides what it refuses
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _float_texts() -> list[str]:
+    """Float texts from every decade: subnormals, 17-digit and longer
+    mantissas, the extremes of the double range and signed zeros."""
+    rng = np.random.default_rng(14)
+    texts = ["0.0", "-0.0", "0e0", "-0e-5", "5e-324", "2.2250738585072014e-308",
+             "2.225073858507201e-308", "1.7976931348623157e308", "4.9406564584124654e-324"]
+    for exp in range(-324, 308):
+        for digits in (1, 3, 16, 17, 25):
+            mantissa = "".join(map(str, rng.integers(0, 10, digits)))
+            texts.append(f"{rng.integers(1, 10)}.{mantissa}e{exp}")
+            texts.append(f"-{rng.integers(1, 10)}{mantissa}E{exp - digits}")
+    texts += [repr(x) for x in rng.integers(0, 2**63, 2000, dtype=np.int64).view(np.float64).tolist()]
+    return [t for t in texts if "n" not in t]  # random bits can be nan or inf
+
+
+def test_read_json_matches_the_stdlib_bit_for_bit(tmp_path):
+    paths = sorted(FIXTURES.glob("*.json")) + sorted((ROOT / "src" / "spanrel").glob("*/*.json"))
+    ints = ["0", "-0", "1", str(-(2**63)), str(2**63 - 1), str(2**63), str(2**64 - 1)]
+    numbers = tmp_path / "numbers.json"
+    numbers.write_text("[" + ",".join(_float_texts() + ints) + "]")
+    orjson.loads(numbers.read_bytes())  # no text falls back to the stdlib reader
+    for path in [*paths, numbers]:
+        text = path.read_text(encoding="utf-8")
+        assert _bits(read_json(str(path))) == _bits(json.loads(text)), path.name
+
+
+def _run(capsys, argv) -> tuple[int, str]:
+    """cli.main's exit code and what it printed to stderr."""
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+def _first_logit_as(value: str):
+    """Edit of the golden score text: sentence 0's entity_logits[0][1] spelled as value."""
+
+    def edit(text):
+        doc = json.loads(text)
+        doc["sentences"][0]["entity_logits"][0][1] = "VALUE"
+        return json.dumps(doc).replace('"VALUE"', value).encode()
+
+    return edit
+
+
+def _lone_surrogate(text):
+    doc = json.loads(text)
+    doc["entity_types"][1] += "\ud800"  # "Peop", not the non-entity type
+    return json.dumps(doc).encode()
+
+
+# What the stdlib reader makes of each file: decode's exit code and stderr.
+REFUSED_FILES = {
+    "nan": (
+        _first_logit_as("NaN"),
+        2,
+        "error: invalid score document at sentences/0/entity_logits/0/1: nan is not a finite number",
+    ),
+    "1e400": (
+        _first_logit_as("1e400"),
+        2,
+        "error: invalid score document at sentences/0/entity_logits/0/1: inf is not a finite number",
+    ),
+    "bom": (
+        lambda text: b"\xef\xbb\xbf" + text.encode(),
+        2,
+        "error: {path}: not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0))",
+    ),
+    "latin-1": (
+        lambda text: b'{"tokens": ["caf\xe9"]}',
+        2,
+        "error: {path}: not UTF-8 ('utf-8' codec can't decode byte 0xe9 in position 16: "
+        "invalid continuation byte)",
+    ),
+    "lone-surrogate": (_lone_surrogate, 0, ""),
+    "broken": (
+        lambda text: b"{broken",
+        2,
+        "error: {path}: not valid JSON (Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1))",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_FILES))
+def test_files_orjson_refuses_keep_the_stdlib_verdict(tmp_path, capsys, case):
+    edit, code, message = REFUSED_FILES[case]
+    scores = tmp_path / "scores.json"
+    scores.write_bytes(edit((FIXTURES / "golden_score.json").read_text(encoding="utf-8")))
+    out = tmp_path / "out.json"
+    expected = message.format(path=scores) + "\n" if message else ""
+    assert _run(capsys, ["decode", str(scores), "-o", str(out)]) == (code, expected)
+    assert out.exists() == (code == 0)
+
+
+def test_a_seed_beyond_64_bits_round_trips(tmp_path, capsys):
+    """orjson reads 2**64 as a float, which the schema refuses; the stdlib
+    reader then reads it as the integer it is."""
+    scores, structures = tmp_path / "scores.json", tmp_path / "structures.json"
+    argv = ["score", str(FIXTURES / "sentences.json"), str(FIXTURES / "params.json")]
+    assert _run(capsys, [*argv, "-o", str(scores), "--seed", str(2**64)]) == (0, "")
+    assert _run(capsys, ["decode", str(scores), "-o", str(structures)]) == (0, "")
+    assert _run(capsys, ["verify", str(structures), str(scores)]) == (0, "")
+    assert load_score_file(str(scores))[0]["seed"] == 2**64
+
+
+def test_dump_canonical_keeps_the_stdlib_values():
+    """Every float reads back to the value the stdlib encoder wrote; inside
+    1e-4 <= |x| < 1e16 the text is repr's, outside only the spelling of the
+    exponent and of small numbers differs."""
+    rng = np.random.default_rng(41)
+    values = [0.0, -0.0, 5e-324, 1e-4, 9.999999999999999e15, 1e16, 1.7976931348623157e308]
+    for exp in range(-320, 301):
+        values += (rng.uniform(1, 10, 8) * 10.0**exp * rng.choice([-1, 1], 8)).tolist()
+    text = dump_canonical(values)
+    assert text == dump_canonical(list(values))
+    assert _bits(json.loads(text)) == _bits(json.loads(json.dumps(values)))
+    tokens = text[1:-2].split(",")
+    assert len(tokens) == len(values)
+    for token, x in zip(tokens, values):
+        if 1e-4 <= abs(x) < 1e16 or x == 0:
+            assert token == repr(x)
+    assert dump_canonical([1e-7, 9.999e-05, -1e30]) == "[1e-7,0.00009999,-1e30]\n"
+
+
+def test_dump_canonical_falls_back_to_the_stdlib_encoder():
+    """What orjson cannot encode is written as the stdlib writes it."""
+    for doc in ([np.float64(0.1)], [2**64], ["a\ud800"], {"k": -(2**63) - 1}):
+        assert dump_canonical(doc) == json.dumps(doc, separators=(",", ":")) + "\n"
