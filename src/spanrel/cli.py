@@ -63,14 +63,13 @@ def _env_config() -> dict:
 
 
 def _make_config(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from env-file defaults overridden by explicit flags."""
+    """RunConfig from env-file defaults overridden by the flags given: each
+    flag is stored under its field's name, and is None unless given."""
     merged = _env_config()
-    for name in ("algorithm", "k_span", "k_rel", "depth", "margin", "seed", "budget"):
-        value = getattr(args, name, None)
+    for field in dataclass_fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            merged[name] = value
-    if getattr(args, "no_bias", False):
-        merged["use_bias"] = False
+            merged[field.name] = value
     try:
         return RunConfig(**merged)
     except (TypeError, ValueError) as exc:
@@ -153,22 +152,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    for flag in ("count", "length", "budget"):
+    config = _make_config(args)
+    for flag in ("count", "length"):
         value = getattr(args, flag)
-        if value is not None and value < 1:
+        if value < 1:
             raise FormatError(f"--{flag} must be positive, got {value}")
     constraints = load_constraint_set(args.constraints)
     instances = bench_mod.synthetic_instances(
         count=args.count,
         length=args.length,
-        seed=args.seed if args.seed is not None else 0,
+        seed=config.seed,
         constraints=constraints,
     )
     rows = bench_mod.run_bench(
         instances,
         constraints,
-        use_bias=not args.no_bias,
-        budget=args.budget,
+        use_bias=config.use_bias,
+        budget=config.budget,
     )
     sys.stdout.write(bench_mod.format_table(rows))
     if args.assert_ordering and not bench_mod.ordering_ok(rows):
@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"constraint file path or one of {', '.join(BUNDLED_CONSTRAINTS)}",
     )
-    p.add_argument("--no-bias", action="store_true", help="ignore the bias table")
+    p.add_argument("--no-bias", action="store_false", default=None, dest="use_bias",
+                   help="ignore the bias table")
     p.add_argument("--budget", type=int, default=None, help="search node budget")
     p.set_defaults(func=cmd_decode)
 
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=20, help="tokens per sentence")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--constraints", default="conll04")
-    p.add_argument("--no-bias", action="store_true")
+    p.add_argument("--no-bias", action="store_false", default=None, dest="use_bias")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument(
         "--assert-ordering",
@@ -330,11 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MemoryError, OSError, KeyError, ValueError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

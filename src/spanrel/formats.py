@@ -34,9 +34,9 @@ from .decode import (
     constraints_from_doc,
 )
 from .objectives import GoldAnnotation
-from .params import bias_from_json, bias_to_json
-from .pipeline import SHOWN_MAX, ForwardResult
-from .representation import TypeInventory
+from .params import from_json, to_json
+from .pipeline import SHOWN_MAX, ForwardResult, shown
+from .representation import BiasTable, TypeInventory
 
 SCHEMA_NAMES = ("sentences", "params", "score", "structure", "constraints", "gold")
 
@@ -477,9 +477,19 @@ def write_json(path: str, doc: object) -> None:
 # sentences
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def load_sentences(path: str) -> list[tuple[str, ...]]:
     doc = load_document(path, "sentences")
-    return [tuple(entry["tokens"]) for entry in doc["sentences"]]
+    sentences = [tuple(entry["tokens"]) for entry in doc["sentences"]]
+    # The stdlib reader, unlike orjson, lets a lone surrogate through.
+    if _SURROGATE.search("".join(chain.from_iterable(sentences))):
+        pos, i = next((pos, i) for pos, tokens in enumerate(sentences)
+                      for i, token in enumerate(tokens) if _SURROGATE.search(token))
+        raise FormatError(f"invalid sentences document at sentences/{pos}/tokens/{i}: "
+                          f"{shown(sentences[pos][i])} holds a lone surrogate")
+    return sentences
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +531,7 @@ def score_document(results: Iterable[ForwardResult], seed: int) -> dict:
         "seed": seed,
         "entity_types": list(inv.entity_types),
         "relation_types": list(inv.relation_types),
-        "bias": bias_to_json(bias) if bias is not None else None,
+        "bias": to_json(bias) if bias is not None else None,
         "sentences": sentences,
     }
 
@@ -540,7 +550,7 @@ def instances_from_score_doc(doc: dict) -> list[ScoredInstance]:
     bias = None
     if doc.get("bias") is not None:
         try:
-            bias = bias_from_json(doc["bias"])
+            bias = from_json(BiasTable, doc["bias"])
         except ValueError as exc:
             raise FormatError(f"score bias: {exc}") from exc
         e, r = inventory.num_entity_types, inventory.num_relation_types

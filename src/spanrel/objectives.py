@@ -197,12 +197,10 @@ def total_loss(
     params: ModelParams,
     gold: GoldAnnotation,
     config: RunConfig | None = None,
+    margin: float = 1.0,
 ) -> tuple[float, LossBreakdown]:
     """Forward pass plus unweighted sum of the four loss terms."""
-    if config is None:
-        config = RunConfig()
-    result = forward(tokens, params, config)
-    breakdown = loss_from_forward(result, gold, config.margin)
+    breakdown = loss_from_forward(forward(tokens, params, config), gold, margin)
     return breakdown.total, breakdown
 
 

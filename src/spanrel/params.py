@@ -154,12 +154,6 @@ def from_json(cls, obj: dict):
     return cls(**{f.name: np.asarray(obj[f.name]) for f in fields(cls)})
 
 
-def bias_from_json(obj: dict) -> BiasTable:
-    return from_json(BiasTable, obj)
-
-
-bias_to_json = to_json
-
 # ModelParams fields that hold a weight group or the bias tables
 _GROUPS = {
     name: cls

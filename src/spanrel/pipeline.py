@@ -12,7 +12,6 @@ identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from .params import ModelParams
 # relation_representations, the dense views of span_grid and pair_grid;
 # they are imported only so that perfbench/spantrace.py finds them here.
 from .representation import (  # noqa: F401
-    TokenEmbeddings,
     classify_relations,
     classify_spans,
     encode_tokens,
@@ -53,13 +51,6 @@ def normalize_algorithm(name: str) -> str:
     return canon
 
 
-def _finite(x: float) -> bool:
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs for a scoring or decoding run.
@@ -72,7 +63,6 @@ class RunConfig:
     k_span: int | None = None
     k_rel: int | None = None
     depth: int = 1
-    margin: float = 1.0
     seed: int = 0
     budget: int | None = None
     use_bias: bool = True
@@ -86,8 +76,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive when given")
         if self.depth < 1:
             raise ValueError("depth must be positive")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -99,9 +87,6 @@ class RunConfig:
             if name in ("depth", "seed") or v is not None:
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise TypeError(f"{name} must be an integer, got {shown(v)}")
-        m = self.margin
-        if isinstance(m, bool) or not isinstance(m, (int, float)) or not _finite(m):
-            raise TypeError(f"margin must be a finite number, got {shown(m)}")
         if not isinstance(self.algorithm, str):
             raise TypeError(f"algorithm must be a string, got {shown(self.algorithm)}")
         if not isinstance(self.use_bias, bool):
@@ -121,7 +106,6 @@ class ForwardResult:
     """
 
     instance: ScoredInstance
-    embeddings: TokenEmbeddings
     max_span_width: int
     span_filter: FilterResult
     pair_filter: FilterResult
@@ -145,17 +129,16 @@ def forward(
     if any(not isinstance(t, str) or not t for t in tokens):
         raise ValueError("tokens must be non-empty strings")
 
-    emb = encode_tokens(tokens, params.dim, config.seed)
-    length = emb.length
-    spans = span_grid(emb, params.max_span_width, params.span_proj)
+    vectors = encode_tokens(tokens, params.dim, config.seed)
+    spans = span_grid(vectors, params.max_span_width, params.span_proj)
     k_span = (
         config.k_span
         if config.k_span is not None
-        else default_k_span(length, params.max_span_width)
+        else default_k_span(len(tokens), params.max_span_width)
     )
     span_fr = filter_and_refine(
         spans,
-        emb.vectors,
+        vectors,
         k_span,
         params.span_filter,
         params.span_read,
@@ -170,7 +153,7 @@ def forward(
     k_rel = config.k_rel if config.k_rel is not None else k_span
     pair_fr = filter_and_refine(
         pairs,
-        emb.vectors,
+        vectors,
         k_rel,
         params.relation_filter,
         params.relation_read,
@@ -184,7 +167,7 @@ def forward(
     starts, ends = spans.endpoints(span_fr.kept_indices)
     heads, tails = pairs.endpoints(pair_fr.kept_indices)
     instance = ScoredInstance(
-        length=length,
+        length=len(tokens),
         spans=tuple(zip(starts.tolist(), ends.tolist())),
         entity_logits=entity_logits,
         pairs=tuple(zip(heads.tolist(), tails.tolist())),
@@ -195,7 +178,6 @@ def forward(
     )
     return ForwardResult(
         instance=instance,
-        embeddings=emb,
         max_span_width=params.max_span_width,
         span_filter=span_fr,
         pair_filter=pair_fr,

@@ -92,31 +92,10 @@ class TypeInventory:
         )
 
 
-@dataclass(frozen=True)
-class TokenEmbeddings:
-    tokens: tuple[str, ...]
-    vectors: np.ndarray  # (L, D) float64
-
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=np.float64))
-        if len(self.tokens) < 1:
-            raise ValueError("need at least one token")
-        if self.vectors.shape[0] != len(self.tokens):
-            raise ValueError("one vector per token required")
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-def encode_tokens(tokens, dim: int, seed: int = 0) -> TokenEmbeddings:
-    """Deterministic toy embeddings: each token's vector is drawn from a PRNG
-    seeded by a stable hash of (token, seed), with entries in [-1, 1].
+def encode_tokens(tokens, dim: int, seed: int = 0) -> np.ndarray:
+    """Deterministic toy embeddings as an (L, D) float64 array: each token's
+    vector is drawn from a PRNG seeded by a stable hash of (token, seed),
+    with entries in [-1, 1].
 
     The same token always maps to the same vector, on every platform.
     """
@@ -126,8 +105,7 @@ def encode_tokens(tokens, dim: int, seed: int = 0) -> TokenEmbeddings:
     if dim < 1:
         raise ValueError("dim must be positive")
     # np.array copies, so callers never hold the cached (read-only) rows.
-    vectors = np.array([_token_vector(tok, dim, seed) for tok in tokens])
-    return TokenEmbeddings(tokens, vectors)
+    return np.array([_token_vector(tok, dim, seed) for tok in tokens])
 
 
 @lru_cache(maxsize=TOKEN_CACHE_SIZE)
@@ -227,9 +205,7 @@ class CandidateGrid:
         return scores.ravel()
 
 
-def span_grid(
-    embeddings: TokenEmbeddings, max_width: int, w_ent: np.ndarray
-) -> CandidateGrid:
+def span_grid(embeddings: np.ndarray, max_width: int, w_ent: np.ndarray) -> CandidateGrid:
     """The L*M span grid concat(x[start], x[end]) @ w_ent, step 1.
 
     The tail factor carries max_width - 1 zero rows past the sentence, so
@@ -237,10 +213,10 @@ def span_grid(
     """
     if max_width < 1:
         raise ValueError("max_width must be positive")
-    left, right = _endpoint_factors(embeddings.vectors, w_ent, "w_ent")
+    left, right = _endpoint_factors(embeddings, w_ent, "w_ent")
     tail = np.concatenate([right, np.zeros((max_width - 1, right.shape[1]))])
-    starts, widths = np.divmod(np.arange(embeddings.length * max_width), max_width)
-    return CandidateGrid(left, tail, max_width, 1, starts + widths < embeddings.length)
+    starts, widths = np.divmod(np.arange(len(left) * max_width), max_width)
+    return CandidateGrid(left, tail, max_width, 1, starts + widths < len(left))
 
 
 def pair_grid(span_reps: np.ndarray, w_rel: np.ndarray) -> CandidateGrid:
@@ -252,7 +228,7 @@ def pair_grid(span_reps: np.ndarray, w_rel: np.ndarray) -> CandidateGrid:
 
 
 def span_representations(
-    embeddings: TokenEmbeddings, max_width: int, w_ent: np.ndarray
+    embeddings: np.ndarray, max_width: int, w_ent: np.ndarray
 ) -> np.ndarray:
     """Dense rows of span_grid(...): row k is grid cell k, zero if invalid."""
     grid = span_grid(embeddings, max_width, w_ent)
@@ -347,7 +323,6 @@ __all__ = [
     "NULL_ENTITY",
     "NULL_RELATION",
     "TypeInventory",
-    "TokenEmbeddings",
     "SpanCandidate",
     "CandidateGrid",
     "BiasTable",

@@ -331,6 +331,47 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     assert instances[0].tokens == ("café", "opens")
 
 
+def test_lone_surrogate_token_exits_2_with_its_location(tmp_path, capsys):
+    """Only the stdlib reader lets a lone surrogate through; the token is
+    refused at load, where its location is known."""
+    sentences = tmp_path / "s.json"
+    sentences.write_text('{"sentences": [{"tokens": ["ok"]}, {"tokens": ["a\\ud800", "b"]}]}')
+    out = tmp_path / "scores.json"
+    assert cli.main(["score", str(sentences), PARAMS, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid sentences document at sentences/1/tokens/0: "
+        "'a\\ud800' holds a lone surrogate\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["huge-span-width", "huge-dim"])
+def test_out_of_memory_exits_2(tmp_path, case):
+    """An allocation the process cannot make is bad input, not a crash.  The
+    child runs under a 4 GiB address-space limit, so nothing is allocated."""
+    resource = pytest.importorskip("resource")
+    limit = (4 << 30, 4 << 30)
+    out = str(tmp_path / "o.json")
+    if case == "huge-span-width":
+        doc = json.loads(Path(PARAMS).read_text())
+        doc["max_span_width"] = 10**13
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        argv = ["score", SENTENCES, str(params), "-o", out]
+    else:
+        argv = ["init-params", "-o", out, "--dim", "1000000", "--heads", "1",
+                "--entity-types", "A", "--relation-types", "R"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "spanrel.cli", *argv],
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not Path(out).exists()
+
+
 def test_budget_exit_3(tmp_path):
     proc = run_cli(
         "decode", GOLDEN_SCORE, "-o", str(tmp_path / "o.json"),
@@ -447,7 +488,17 @@ def test_env_config_file(tmp_path):
     proc = run_cli("decode", OVERLAP, "-o", out, "--algorithm", "joint", env_extra=env)
     assert proc.returncode == 0
     assert json.loads(Path(out).read_text())["algorithm"] == "joint"
-    for unknown in ({"bogus": 1}, {"jobs": 2}):
+    # --no-bias turns the bias off; its absence leaves the file's setting
+    for config, flags, use_bias in (
+        ({}, ["--no-bias"], False),
+        ({"use_bias": True}, ["--no-bias"], False),
+        ({"use_bias": False}, [], False),
+        ({"use_bias": True}, [], True),
+    ):
+        cfg.write_text(json.dumps(config))
+        assert run_cli("decode", OVERLAP, "-o", out, *flags, env_extra=env).returncode == 0
+        assert json.loads(Path(out).read_text())["use_bias"] is use_bias
+    for unknown in ({"bogus": 1}, {"jobs": 2}, {"margin": 1.0}):
         cfg.write_text(json.dumps(unknown))
         assert run_cli("decode", OVERLAP, "-o", out, env_extra=env).returncode == 2
 
@@ -458,7 +509,6 @@ def test_env_config_file(tmp_path):
         {"k_span": "3"},
         {"algorithm": 5},
         {"depth": 1.5},
-        {"margin": None},
         {"k_span": True},
         {"budget": 2.0},
         {"use_bias": 1},
@@ -595,3 +645,15 @@ def test_bench_refuses_sizes_it_cannot_run(flags):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("config", [{"budget": 0}, {"bogus": 1}])
+def test_bench_reads_the_config_file(tmp_path, config):
+    """bench takes its seed, budget and bias setting through RunConfig, so
+    $SPANREL_CONFIG is checked as for every other run command."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    proc = run_cli("bench", "--count", "2", "--length", "8",
+                   env_extra={"SPANREL_CONFIG": str(cfg)})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

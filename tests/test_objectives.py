@@ -7,6 +7,7 @@ import pytest
 
 from spanrel import (
     GoldAnnotation,
+    RunConfig,
     align_gold,
     classification_loss,
     finite_difference_gradient,
@@ -166,5 +167,10 @@ def test_total_loss_matches_breakdown():
     inv = make_inventory(2, 2)
     params = init_params(inv, dim=16, heads=2, max_span_width=3, seed=4)
     gold = GoldAnnotation(entities=((1, 1, "E1"),))
-    total, breakdown = total_loss(("one", "two", "three"), params, gold)
+    tokens = ("one", "two", "three")
+    total, breakdown = total_loss(tokens, params, gold)
     assert total == pytest.approx(breakdown.total)
+    config = RunConfig(k_span=4, depth=2)
+    for margin in (0.25, 1.0, 4.0):
+        total, _ = total_loss(tokens, params, gold, config, margin=margin)
+        assert total == loss_from_forward(forward(tokens, params, config), gold, margin).total

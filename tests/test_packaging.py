@@ -1,15 +1,15 @@
-"""The package declares every third-party module it imports."""
+"""The package declares every third-party module it imports, and every
+public name it lists exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,9 +26,23 @@ def _imported_packages(path: Path) -> set[str]:
 
 
 def test_every_third_party_import_is_declared():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower() for dep in project["dependencies"]}
     imported = set().union(*map(_imported_packages, (ROOT / "src" / "spanrel").glob("*.py")))
     third_party = imported - set(sys.stdlib_module_names) - {"spanrel"}
     assert "numpy" in third_party  # the walk finds imports at all
     assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_public_name_lists_resolve():
+    """Each module's hand-kept __all__ names only attributes that exist, each
+    once, so a stale entry fails here and not at a user's star import."""
+    stems = sorted(p.stem for p in (ROOT / "src" / "spanrel").glob("*.py"))
+    modules = [importlib.import_module(f"spanrel.{s}" if s != "__init__" else "spanrel") for s in stems]
+    listed = [m for m in modules if hasattr(m, "__all__")]
+    assert "spanrel" in {m.__name__ for m in listed}
+    for module in listed:
+        names = module.__all__
+        assert len(names) == len(set(names)), f"{module.__name__}: duplicate names"
+        exec(f"from {module.__name__} import *", {})  # AttributeError on a stale name

@@ -7,9 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from spanrel import TypeInventory, init_params, params_from_json, params_to_json
+from spanrel import BiasTable, TypeInventory, init_params, params_from_json, params_to_json
 from spanrel.formats import validate_document
-from spanrel.params import bias_from_json, bias_to_json
+from spanrel.params import from_json, to_json
 
 from conftest import make_inventory
 
@@ -74,8 +74,8 @@ def test_params_json_roundtrip():
 def test_bias_json_roundtrip():
     inv = make_inventory(2, 3)
     p = init_params(inv, dim=8, heads=2, seed=1)
-    doc = bias_to_json(p.bias)
-    back = bias_from_json(doc)
+    doc = to_json(p.bias)
+    back = from_json(BiasTable, doc)
     assert np.array_equal(back.combined(), p.bias.combined())
 
 

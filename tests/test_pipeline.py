@@ -117,8 +117,6 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(depth=0)
     with pytest.raises(ValueError):
-        RunConfig(margin=0.0)
-    with pytest.raises(ValueError):
         RunConfig(seed=-1)
     with pytest.raises(ValueError):
         RunConfig(budget=0)

@@ -53,14 +53,15 @@ def test_inventory_rejects_duplicates_and_misplaced_null():
 def test_encode_tokens_deterministic_and_stable():
     a = encode_tokens(["the", "cat"], dim=16, seed=5)
     b = encode_tokens(["the", "cat"], dim=16, seed=5)
-    assert np.array_equal(a.vectors, b.vectors)
+    assert a.shape == (2, 16) and a.dtype == np.float64
+    assert np.array_equal(a, b)
     # same token, same vector, independent of position
     c = encode_tokens(["cat", "the"], dim=16, seed=5)
-    assert np.array_equal(a.vectors[1], c.vectors[0])
+    assert np.array_equal(a[1], c[0])
     # seed changes the stream
     d = encode_tokens(["the", "cat"], dim=16, seed=6)
-    assert not np.array_equal(a.vectors, d.vectors)
-    assert a.vectors.max() <= 1.0 and a.vectors.min() >= -1.0
+    assert not np.array_equal(a, d)
+    assert a.max() <= 1.0 and a.min() >= -1.0
     with pytest.raises(ValueError):
         encode_tokens([], dim=4)
 
@@ -86,7 +87,7 @@ def test_span_representations_endpoints():
     reps = span_representations(emb, 2, w)
     assert reps.shape == (6, 4)
     # row = concat(start vec, end vec) @ w
-    cat = np.concatenate([emb.vectors[1], emb.vectors[2]])
+    cat = np.concatenate([emb[1], emb[2]])
     assert np.allclose(reps[3], cat @ w)
     # invalid span rows are zeroed
     assert np.array_equal(reps[5], np.zeros(4))
@@ -123,7 +124,7 @@ def test_grid_rank_matches_dense(kind, n, width, shift, monkeypatch):
         # a period-3 sentence, so equal spans recur
         emb = encode_tokens([("a", "b", "c")[i % 3] for i in range(n)], dim=4, seed=0)
         grid = span_grid(emb, width, w)
-        x, spans = emb.vectors, enumerate_spans(n, width)
+        x, spans = emb, enumerate_spans(n, width)
         heads = np.array([s.start for s in spans])
         tails = np.array([s.end for s in spans])
         valid = np.array([s.valid for s in spans])
