@@ -46,8 +46,8 @@ class FormatError(ValueError):
 
 
 _schemas: dict[str, dict] = {}
-# Per schema: a validator of its head and the path tree to its leaf arrays.
-_checkers: dict[str, tuple[object, dict | None]] = {}
+# Per schema: a validator of it with every local "$ref" inlined.
+_checkers: dict[str, object] = {}
 
 
 def load_schema(name: str) -> dict:
@@ -64,6 +64,7 @@ def load_schema(name: str) -> dict:
 
 
 _PLAIN_TYPE = jsonschema.Draft202012Validator.VALIDATORS["type"]
+_PLAIN_ITEMS = jsonschema.Draft202012Validator.VALIDATORS["items"]
 
 
 def _strict_type(validator, types, instance, schema):
@@ -96,16 +97,14 @@ class _Scalar(NamedTuple):
     types: frozenset
     minimum: float | None
     min_length: int  # strings only
-    own: dict  # the schema node
 
 
 class _Record(NamedTuple):
-    """An object schema whose properties are scalars or leaf arrays.  Other
-    keys are allowed, as the schema allows them."""
+    """An object schema whose properties all have specs.  Other keys are
+    allowed, as the schema allows them."""
 
     required: tuple[str, ...]
-    fields: dict[str, _Scalar | _LeafArray]
-    own: dict  # the node's keywords for the object itself
+    fields: dict[str, _Scalar | _Record | _LeafArray]
 
 
 class _LeafArray(NamedTuple):
@@ -115,12 +114,14 @@ class _LeafArray(NamedTuple):
     min_items: int
     max_items: int | None
     item: _Scalar | _Record | _LeafArray
-    own: dict  # the node's keywords for the array itself
 
 
-_EACH = None  # path-tree step: every element of an array
+# The spec of each leaf-array node of the checkers' schemas, by the node's
+# identity, beside the node, which keeps that identity from being reused.
+_leaf_arrays: dict[int, tuple[dict, _LeafArray]] = {}
+
 _ANNOTATIONS = {"$schema", "$id", "$defs", "title", "description", "default"}
-_OBJECT_KEYS = _ANNOTATIONS | {"type", "properties", "required", "additionalProperties"}
+_OBJECT_KEYS = _ANNOTATIONS | {"type", "properties", "required"}
 _ARRAY_KEYS = _ANNOTATIONS | {"type", "items", "prefixItems", "minItems", "maxItems"}
 _SCALAR_KEYS = {
     "number": ({int, float}, {"type", "minimum"}),
@@ -129,16 +130,11 @@ _SCALAR_KEYS = {
 }
 
 
-def _resolve(root: dict, node: object) -> dict | None:
-    """Follow local "$ref"s; None for anything but a plain subschema."""
-    while isinstance(node, dict) and "$ref" in node:
-        ref = node["$ref"]
-        if set(node) - _ANNOTATIONS != {"$ref"} or not ref.startswith("#/"):
-            return None
-        node = root
-        for part in ref[2:].split("/"):
-            node = node[part]
-    return node if isinstance(node, dict) else None
+def _spec(node: object) -> _Scalar | _Record | _LeafArray | None:
+    """The bulk-check spec of a subschema, None if it has none."""
+    if not isinstance(node, dict):
+        return None
+    return _scalar(node) or _record(node) or _leaf_array(node)
 
 
 def _scalar(node: dict) -> _Scalar | None:
@@ -148,113 +144,77 @@ def _scalar(node: dict) -> _Scalar | None:
     types, keys = _SCALAR_KEYS[kind]
     if not set(node) <= _ANNOTATIONS | keys:
         return None
-    return _Scalar(frozenset(types), node.get("minimum"), node.get("minLength", 0), node)
+    return _Scalar(frozenset(types), node.get("minimum"), node.get("minLength", 0))
 
 
-def _record(root: dict, node: dict, specs: dict) -> _Record | None:
-    if node.get("type") != "object" or not set(node) <= _OBJECT_KEYS - {"additionalProperties"}:
+def _record(node: dict) -> _Record | None:
+    if node.get("type") != "object" or not set(node) <= _OBJECT_KEYS:
         return None
-    fields = {}
-    for key, sub in node.get("properties", {}).items():
-        sub = _resolve(root, sub)
-        fields[key] = None if sub is None else _scalar(sub) or _leaf_array(root, sub, specs)
-        if fields[key] is None:
-            return None
-    own = {k: v for k, v in node.items() if k != "properties"}
-    return _Record(tuple(node.get("required", ())), fields, own)
+    fields = {key: _spec(sub) for key, sub in node.get("properties", {}).items()}
+    if None in fields.values():
+        return None
+    return _Record(tuple(node.get("required", ())), fields)
 
 
-def _leaf_array(root: dict, node: dict, specs: dict) -> _LeafArray | None:
-    """The bulk-check spec of node if it is an array of scalars, records
-    or leaf arrays; one spec object per schema node, kept in specs."""
-    if id(node) in specs:
-        return specs[id(node)]
+def _leaf_array(node: dict) -> _LeafArray | None:
+    """The spec of node if it is an array of scalars, records or leaf
+    arrays; one spec object per schema node, kept in _leaf_arrays."""
+    if id(node) in _leaf_arrays:
+        return _leaf_arrays[id(node)][1]
     if node.get("type") != "array" or not set(node) <= _ARRAY_KEYS:
         return None
     low, high = node.get("minItems", 0), node.get("maxItems")
     prefix = node.get("prefixItems")
     if prefix:
         # A fixed-width tuple of identical items, such as a [start, end] span.
-        same = all(_resolve(root, p) == _resolve(root, prefix[0]) for p in prefix)
+        same = all(p == prefix[0] for p in prefix)
         if "items" in node or not same or low != len(prefix) or high != low:
             return None
-        item = prefix[0]
-    elif "items" in node:
-        item = node["items"]
+        item = _spec(prefix[0])
     else:
-        return None
-    item = _resolve(root, item)
+        item = _spec(node.get("items"))
     if item is None:
         return None
-    item = _scalar(item) or _record(root, item, specs) or _leaf_array(root, item, specs)
-    if item is None:
-        return None
-    own = {k: v for k, v in node.items() if k not in ("items", "prefixItems")}
-    specs[id(node)] = _LeafArray(low, high, item, own)
-    return specs[id(node)]
+    _leaf_arrays[id(node)] = (node, _LeafArray(low, high, item))
+    return _leaf_arrays[id(node)][1]
 
 
-def _strip_tree(root: dict, node: object, specs: dict) -> dict | _LeafArray | None:
-    """Path tree from node to the leaf arrays beneath it, None if none.
-
-    Descends only through plain object properties and array items, so
-    taking a leaf array out of the jsonschema walk changes what no other
-    keyword sees."""
-    node = _resolve(root, node)
-    if node is None:
-        return None
-    leaf = _leaf_array(root, node, specs)
-    if leaf is not None:
-        return leaf
-    types = node.get("type")
-    steps = {}
-    if "object" in (types if isinstance(types, list) else [types]):
-        if set(node) <= _OBJECT_KEYS:
-            steps = node.get("properties", {})
-    elif types == "array" and set(node) <= _ARRAY_KEYS - {"prefixItems"}:
-        if "items" in node:
-            steps = {_EACH: node["items"]}
-    tree = {step: _strip_tree(root, sub, specs) for step, sub in steps.items()}
-    tree = {step: sub for step, sub in tree.items() if sub is not None}
-    return tree or None
-
-
-def _head_schema(root: dict, node: object, tree) -> object:
-    """Copy of node in which the schema of every leaf array under tree is
-    True, so jsonschema does not descend into it."""
-    if isinstance(tree, _LeafArray):
-        return True
-    node = dict(_resolve(root, node))
-    if _EACH in tree:
-        node["items"] = _head_schema(root, node["items"], tree[_EACH])
-    else:
-        node["properties"] = dict(node["properties"])
-        for key, sub in tree.items():
-            node["properties"][key] = _head_schema(root, node["properties"][key], sub)
+def _inline(root: dict, node: object) -> object:
+    """A copy of node with each local "$ref" replaced by its target, itself
+    inlined, and the spec of every leaf array in it kept."""
+    if isinstance(node, list):
+        return [_inline(root, x) for x in node]
+    if not isinstance(node, dict):
+        return node
+    if set(node) - _ANNOTATIONS == {"$ref"} and node["$ref"].startswith("#/"):
+        target = root
+        for part in node["$ref"][2:].split("/"):
+            target = target[part]
+        return _inline(root, target)
+    node = {key: _inline(root, sub) for key, sub in node.items()}
+    _leaf_array(node)
     return node
 
 
-def _checker(schema_name: str) -> tuple[object, dict | None]:
-    """A validator of the document head, and the path tree to its leaf arrays."""
+def _bulk_items(validator, items, instance, schema):
+    """The "items" keyword, but the items of a leaf array are checked as
+    one column, and only when that fails is the first bad one walked."""
+    leaf = _leaf_arrays.get(id(schema))
+    if leaf is None:
+        yield from _PLAIN_ITEMS(validator, items, instance, schema)
+    elif validator.is_type(instance, "array") and not _column_ok(instance, leaf[1].item):
+        i = _first_bad(instance, leaf[1].item)
+        yield from validator.descend(instance[i], items, path=i)
+
+
+_BulkValidator = jsonschema.validators.extend(_StrictValidator, {"items": _bulk_items})
+
+
+def _checker(schema_name: str) -> object:
     if schema_name not in _checkers:
         schema = load_schema(schema_name)
-        tree = _strip_tree(schema, schema, {})
-        head = _head_schema(schema, schema, tree) if tree else schema
-        _checkers[schema_name] = (_StrictValidator(head), tree)
+        _checkers[schema_name] = _BulkValidator(_inline(schema, schema))
     return _checkers[schema_name]
-
-
-def _collect(node: object, tree, path: tuple, columns: dict) -> None:
-    """Add each leaf array under tree to the column of its spec, with its path."""
-    if isinstance(tree, _LeafArray):
-        columns.setdefault(id(tree), (tree, []))[1].append((path, node))
-    elif type(node) is list and _EACH in tree:
-        for i, x in enumerate(node):
-            _collect(x, tree[_EACH], (*path, i), columns)
-    elif type(node) is dict:
-        for key, sub in tree.items():
-            if key in node:
-                _collect(node[key], sub, (*path, key), columns)
 
 
 def _scalars_ok(items: list, spec: _Scalar) -> bool:
@@ -313,24 +273,6 @@ def _first_bad(items: list, spec) -> int:
     return lo
 
 
-def _first_error(validator, value: object, spec) -> tuple[list, jsonschema.ValidationError]:
-    """Location and error jsonschema reports first for value, which failed
-    its bulk check.  The node's own keywords are walked first, as their
-    errors sit at the shortest location; then only the first bad element,
-    or the failing property whose name sorts first."""
-    error = next(validator.evolve(schema=spec.own).iter_errors(value), None)
-    if error is not None:
-        return [], error
-    if isinstance(spec, _LeafArray):
-        step = _first_bad(value, spec.item)
-        sub = spec.item
-    else:  # a record; a scalar always fails on its own keywords
-        step = min(k for k, f in spec.fields.items() if k in value and not _column_ok([value[k]], f))
-        sub = spec.fields[step]
-    where, error = _first_error(validator, value[step], sub)
-    return [step, *where], error
-
-
 def _message(error: jsonschema.ValidationError, whole: bool) -> str:
     """jsonschema's message, but an array or object that heads it is named
     by its JSON type when it is the whole document or its repr is long."""
@@ -347,32 +289,21 @@ def _message(error: jsonschema.ValidationError, whole: bool) -> str:
 def validate_document(doc: object, schema_name: str) -> None:
     """Schema-check a parsed document; FormatError names the bad path.
 
-    jsonschema walks only the head of the document (the root object,
-    version, seed and the bias and weight-group objects; a gold file's
-    sentences, whose triples do not qualify, in full).  Every leaf array
-    (an array of scalars, of leaf arrays, or of records whose properties
-    are scalars or leaf arrays) is checked in bulk instead, one column per
-    schema node: a score, structure or sentences file's `sentences` array
-    is one leaf array, so the logits of all its sentences are one column,
-    as are all params matrices that use one `$defs` entry.  Only a column
-    that fails is searched, by bisection, for its first bad element, and
-    jsonschema walks just that element, so the location and message are
-    the ones a full walk reports first.  Beyond the schema, every number
-    must be finite and an integer may not be written as 1.0; a document of
-    the wrong type, or a long array or object, is named by its JSON type,
-    not printed."""
-    validator, tree = _checker(schema_name)
-    errors = [(list(e.absolute_path), e) for e in validator.iter_errors(doc)]
-    columns: dict = {}
-    if tree:
-        _collect(doc, tree, (), columns)
-    for spec, members in columns.values():
-        if not _column_ok([value for _, value in members], spec):
-            path, value = min(
-                ((p, v) for p, v in members if not _column_ok([v], spec)), key=lambda m: m[0]
-            )
-            where, error = _first_error(validator, value, spec)
-            errors.append(([*path, *where], error))
+    One jsonschema walk checks the document, in which the items of each
+    leaf array (an array of scalars, of leaf arrays, or of records whose
+    properties are scalars, records or leaf arrays) are checked in bulk by
+    the "items" keyword:
+    a score, structure or sentences file's `sentences` array is a leaf
+    array, so the logits of all its sentences are one column, and each
+    params matrix is its own column.  Only a column that fails is
+    searched, by bisection, for its first bad item, and jsonschema walks
+    just that item, so the location and message are the ones a full walk
+    reports first.  A gold file's triples mix integers and strings, so its
+    `sentences` are walked in full.  Beyond the schema, every number must
+    be finite and an integer may not be written as 1.0; a document of the
+    wrong type, or a long array or object, is named by its JSON type, not
+    printed."""
+    errors = [(list(e.absolute_path), e) for e in _checker(schema_name).iter_errors(doc)]
     if errors:
         where, error = min(errors, key=lambda e: e[0])
         message = _message(error, whole=not where)

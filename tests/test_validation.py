@@ -1,7 +1,7 @@
 """validate_document against full jsonschema on mutated documents.
 
-validate_document runs jsonschema on a skeleton of the document and checks
-the big leaf arrays in bulk.  Each mutation below must be accepted or
+validate_document runs one jsonschema walk in which the items of the big
+leaf arrays are checked in bulk.  Each mutation below must be accepted or
 rejected exactly as Draft202012Validator over the whole document does, with
 the same location and message.  The two rules the formats add beyond the
 schemas (finite numbers, no 1.0 in integer slots) are the only expected
@@ -14,6 +14,7 @@ import copy
 import json
 import math
 import random
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -46,6 +47,11 @@ def _structure_doc() -> dict:
     return json.loads(json.dumps(doc))
 
 
+def _bundled_constraints(name: str) -> dict:
+    data = resources.files("spanrel").joinpath("data", f"{name}_constraints.json")
+    return json.loads(data.read_text(encoding="utf-8"))
+
+
 GOLD = {
     "sentences": [
         {"entities": [[0, 1, "Peop"], [3, 3, "Org"]], "relations": [[[0, 1], [3, 3], "Work_For"]]},
@@ -64,6 +70,8 @@ DOCS = {
     "structure": _structure_doc(),
     "sentences": _load("sentences.json"),
     "gold": GOLD,
+    "constraints": _bundled_constraints("conll04"),
+    "constraints-ace05": _bundled_constraints("ace05"),
 }
 
 RELATION = {"head": 0, "tail": 1, "type": "Work_For", "score": 0.5}
@@ -321,13 +329,15 @@ def test_cli_decode_fails_closed_on_every_mutated_score(tmp_path):
             assert code == 2 or "NaN" not in out.read_text(), (case, algo)
 
 
-def strict_outcome(doc, schema: str):
-    """What a full _StrictValidator walk of the whole document reports."""
+def strict_outcome(doc, schema: str, worded: bool = False):
+    """What a full _StrictValidator walk of the whole document reports;
+    worded, its message names a long value by type, as formats does."""
     validator = _StrictValidator(load_schema(schema))
-    errors = [(list(e.absolute_path), e.message) for e in validator.iter_errors(doc)]
+    errors = [(list(e.absolute_path), e) for e in validator.iter_errors(doc)]
     if not errors:
         return None
-    where, message = min(errors, key=lambda e: e[0])
+    where, error = min(errors, key=lambda e: e[0])
+    message = formats._message(error, whole=not where) if worded else error.message
     return f"invalid {schema} document at {'/'.join(map(str, where)) or '<root>'}: {message}"
 
 
@@ -368,23 +378,62 @@ def test_seeded_mutations_match_a_full_strict_walk():
     assert 200 < rejected < 340  # both verdicts are exercised
 
 
-@pytest.mark.parametrize("schema", ["score", "structure", "sentences"])
-def test_jsonschema_walks_no_sentence(monkeypatch, schema):
-    """Only the document head reaches jsonschema; sentence records are
-    checked as columns."""
+def test_seeded_mutations_of_params_gold_and_constraints_match_a_full_strict_walk():
+    """The same for documents whose leaf arrays sit under "$ref"s (params),
+    beside records that admit no other keys (constraints), or nowhere
+    (gold triples)."""
+    rng = random.Random(1)
+    sources = ("params", "gold", "constraints", "params", "gold", "constraints-ace05")
+    rejected = 0
+    for trial in range(300):
+        source = sources[trial % len(sources)]
+        schema = source.split("-")[0]
+        doc = mutated(source, *[lambda d: _random_mutation(rng, d)] * rng.choice((1, 1, 2, 3)))
+        expected = strict_outcome(doc, schema, worded=True)
+        assert outcome(doc, schema) == expected, (trial, expected)
+        rejected += expected is not None
+    assert 150 < rejected < 290  # both verdicts are exercised
+
+
+def _spy_on_type(monkeypatch) -> list:
+    """Every instance the "type" keyword of validate_document's validator
+    sees from now on."""
     seen = []
-    plain = _StrictValidator.VALIDATORS["type"]
+    plain = formats._BulkValidator.VALIDATORS["type"]
 
     def spy(validator, types, instance, node):
         seen.append(instance)
         yield from plain(validator, types, instance, node)
 
-    monkeypatch.setitem(_StrictValidator.VALIDATORS, "type", spy)
+    monkeypatch.setitem(formats._BulkValidator.VALIDATORS, "type", spy)
     monkeypatch.setattr(formats, "_checkers", {})
+    return seen
+
+
+@pytest.mark.parametrize("schema", ["score", "structure", "sentences"])
+def test_jsonschema_walks_no_sentence(monkeypatch, schema):
+    """Only the document head reaches jsonschema; sentence records are
+    checked as columns."""
+    seen = _spy_on_type(monkeypatch)
     doc = DOCS[schema]
     validate_document(doc, schema)
     keys = set(doc["sentences"][0])
     assert seen and not any(type(x) is dict and keys & set(x) for x in seen)
+
+
+def test_jsonschema_walks_no_params_matrix(monkeypatch):
+    """Each params matrix is checked as one column; no weight reaches
+    jsonschema's "type" keyword, nor does any row of weights."""
+    seen = _spy_on_type(monkeypatch)
+    validate_document(DOCS["params"], "params")
+    rows, stack = set(), [DOCS["params"]]
+    while stack:  # every list that is an item of a list: matrix and tensor rows
+        node = stack.pop()
+        children = list(node.values() if type(node) is dict else node)
+        rows.update(id(x) for x in children if type(node) is list and type(x) is list)
+        stack += [x for x in children if type(x) in (dict, list)]
+    assert rows and seen
+    assert not any(type(x) is float or id(x) in rows for x in seen)
 
 
 def test_one_bad_token_among_many_builds_few_errors(tmp_path, monkeypatch, capsys):
