@@ -44,7 +44,7 @@ from .formats import (
 # two names here, so they stay importable from this module.
 from .formats import read_json, validate_document  # noqa: F401
 from .params import init_params, params_from_json, params_to_json
-from .pipeline import RunConfig, forward, normalize_algorithm
+from .pipeline import RunConfig, forward, forward_stacks, normalize_algorithm
 from .representation import TypeInventory
 
 
@@ -107,9 +107,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     config = _make_config(args)
     sentences = load_sentences(args.sentences)
     params = _load_params(args.params)
-    # Each sentence is packed as soon as it is scored, and its ForwardResult
-    # (attention, refined rows, ranking vectors) dropped.
-    results = (forward(tokens, params, config) for tokens in sentences)
+    # Each sentence is packed as soon as its stack is scored, and the
+    # stack's ForwardResults (attention, refined rows, ranking vectors) dropped.
+    results = forward_stacks(sentences, params, config)
     write_json(args.output, score_document(results, config.seed))
     return 0
 

@@ -12,6 +12,12 @@ The refine step runs two attention blocks in order: a cross-attention pass
 over the token embeddings (the survivors read from the sentence) and a
 self-attention pass among the survivors followed by a feed-forward update.
 All three updates are plain residual adds.
+
+A stack of S equal-length sentences runs every step once on a leading
+axis, and each sentence keeps its own top k of its own N cells: a stack's
+kept_indices are each sentence's m indices into its own grid, one
+sentence after another.  A stack whose sentences would keep different
+counts raises RaggedStackError.
 """
 
 from __future__ import annotations
@@ -29,20 +35,26 @@ from .numerics import (
     multi_head_attention,
     relu,
     scalar_head,
+    unstack,
 )
 from .representation import CandidateGrid
 
 
+class RaggedStackError(ValueError):
+    """The sentences of a stack would keep different numbers of candidates."""
+
+
 @dataclass(frozen=True)
 class FilterResult:
-    """Top-K selection over N candidates.
+    """Top-K selection over N candidates, or over each sentence of a stack.
 
     kept_indices are original candidate indices in ascending order (exactly
     the K best ranking scores among valid candidates, ties to the lower
     index); representations holds the corresponding rows after refinement;
     ranking_scores covers all N candidates, with invalid ones forced to the
     sentinel.  read_attention, when present, is the cross-attention of the
-    last refine pass, shaped (heads, K, L).
+    last refine pass, shaped (heads, K, L).  A stack's arrays carry a
+    leading axis of S, and its kept_indices are the sentences' end to end.
     """
 
     kept_indices: tuple[int, ...]
@@ -76,33 +88,34 @@ def ranking_scores(
 def top_k_select(
     z: np.ndarray | CandidateGrid, scores: np.ndarray, k: int
 ) -> FilterResult:
-    """Keep the k highest-scoring valid candidates (score above the sentinel).
+    """Keep the k highest-scoring valid candidates (score above the sentinel),
+    of each sentence when z is a stacked grid and scores is (S, N).
 
     Ties break toward the lower index; k larger than the valid count clamps.
     Kept rows are returned in ascending original-index order.  Selection
-    is linear: argpartition finds the m-th best score, every score above
-    it is kept, and the lowest-index scores equal to it fill the rest.
+    is linear: a partition finds the m-th best score, and the lowest-index
+    scores equal to it fill the places that the higher ones leave.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be positive")
-    m = min(k, int((scores > NEG_SENTINEL).sum()))
-    if m == 0:
-        kept = np.zeros(0, dtype=np.intp)
+    seg = scores.reshape(-1, scores.shape[-1])  # one row per sentence
+    live = np.add.reduce(seg > NEG_SENTINEL, axis=1).tolist()
+    m = min(k, max(live))
+    if min(live) < m:
+        raise RaggedStackError("the sentences of a stack keep different numbers of candidates")
+    if m:
+        cut = -np.partition(-seg, m - 1, axis=1)[:, m - 1 : m]
+        keep = seg >= cut
+        if np.count_nonzero(keep) > m * len(seg):  # more ties at the cut than places
+            for row, values, c in zip(keep, seg, cut[:, 0]):
+                ties = np.flatnonzero(values == c)  # the highest-index ties give way
+                row[ties[len(ties) + m - np.count_nonzero(row) :]] = False
     else:
-        cut = scores[np.argpartition(-scores, m - 1)[m - 1]]
-        above = scores > cut
-        above[np.flatnonzero(scores == cut)[: m - int(above.sum())]] = True
-        kept = np.flatnonzero(above)
-    if isinstance(z, CandidateGrid):
-        rows = z.rows(kept)
-    else:
-        rows = np.asarray(z, dtype=np.float64)[kept]
-    return FilterResult(
-        kept_indices=tuple(kept.tolist()),
-        representations=rows,
-        ranking_scores=scores,
-    )
+        keep = np.zeros(seg.shape, dtype=bool)
+    kept = np.nonzero(keep)[1].reshape(*scores.shape[:-1], m)
+    rows = z.rows(kept) if isinstance(z, CandidateGrid) else np.asarray(z, dtype=np.float64)[kept]
+    return FilterResult(tuple(kept.ravel().tolist()), rows, scores)
 
 
 def read(
@@ -110,12 +123,9 @@ def read(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual cross-attention of the survivors over the token embeddings.
 
-    Returns (updated, attn) with attn shaped (heads, K, L); the attention is
-    what the dump-attention export writes out.
+    Returns (updated, attn), attn shaped (heads, K, L) or (S, heads, K, L);
+    the attention is what the dump-attention export writes out.
     """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[0] == 0:
-        raise ValueError("token matrix must be non-empty")
     out, attn = multi_head_attention(z_f, tokens, params)
     return z_f + out, attn
 
@@ -125,8 +135,6 @@ def process(
 ) -> np.ndarray:
     """Residual self-attention among survivors, then a residual feed-forward."""
     z_f = np.asarray(z_f, dtype=np.float64)
-    if z_f.shape[0] < 1:
-        raise ValueError("need at least one survivor")
     attended, _ = multi_head_attention(z_f, z_f, attn_params)
     z1 = z_f + attended
     return z1 + feed_forward(z1, ffn_params)
@@ -148,7 +156,7 @@ def filter_and_refine(
     selected = top_k_select(z, scores, k)
     reps = selected.representations
     attn = None
-    if reps.shape[0] > 0:
+    if reps.shape[-2] > 0:
         for _ in range(depth):
             reps, attn = read(reps, tokens, read_params)
             reps = process(reps, process_attn, process_ffn)
@@ -158,3 +166,15 @@ def filter_and_refine(
         ranking_scores=scores,
         read_attention=attn,
     )
+
+
+def split(result: FilterResult, count: int) -> list[FilterResult]:
+    """Each sentence's FilterResult of a stack of count's, sharing no memory."""
+    if count == 1:
+        return [result]
+    m, attn = len(result.kept_indices) // count, result.read_attention
+    columns = zip(
+        unstack(result.representations, count), unstack(result.ranking_scores, count),
+        [None] * count if attn is None else unstack(attn, count),
+    )
+    return [FilterResult(result.kept_indices[s * m : (s + 1) * m], *c) for s, c in enumerate(columns)]

@@ -197,14 +197,18 @@ def _inline(root: dict, node: object) -> object:
 
 
 def _bulk_items(validator, items, instance, schema):
-    """The "items" keyword, but the items of a leaf array are checked as
-    one column, and only when that fails is the first bad one walked."""
+    """The "items" keyword, but a leaf array's items are checked as one
+    column; if that fails, its bad items are walked up to one the walk refuses."""
     leaf = _leaf_arrays.get(id(schema))
     if leaf is None:
         yield from _PLAIN_ITEMS(validator, items, instance, schema)
     elif validator.is_type(instance, "array") and not _column_ok(instance, leaf[1].item):
-        i = _first_bad(instance, leaf[1].item)
-        yield from validator.descend(instance[i], items, path=i)
+        for i in range(_first_bad(instance, leaf[1].item), len(instance)):
+            if not _column_ok([instance[i]], leaf[1].item):
+                errors = list(validator.descend(instance[i], items, path=i))
+                if errors:
+                    yield from errors
+                    return
 
 
 _BulkValidator = jsonschema.validators.extend(_StrictValidator, {"items": _bulk_items})
@@ -220,7 +224,9 @@ def _checker(schema_name: str) -> object:
 def _scalars_ok(items: list, spec: _Scalar) -> bool:
     if not items:
         return True
-    kinds = set(map(type, items))
+    # A column nearly always has one type, counted faster than a set is built.
+    first = type(items[0])
+    kinds = {first} if list(map(type, items)).count(first) == len(items) else set(map(type, items))
     if not kinds <= spec.types:
         return False
     # A finite sum of floats means each one is finite; an overflowing sum
@@ -444,26 +450,28 @@ def _score_entry(result: ForwardResult) -> dict:
     return entry
 
 
-def score_document(results: Iterable[ForwardResult], seed: int) -> dict:
+def score_document(results: Iterable, seed: int) -> dict:
     """Pack forward results (all from the same params) into one document.
 
-    Results are packed one at a time as the iterable yields them, so a
-    generator of forward passes never holds more than one ForwardResult."""
-    results = iter(results)
-    first = next(results, None)
-    if first is None:
+    results are ForwardResults in sentence order, or (input position,
+    ForwardResult) pairs in any order, as pipeline.forward_stacks yields
+    them.  Each is packed as it is yielded, so a generator of forward
+    passes need not hold them all."""
+    entries: dict[int, dict] = {}
+    for pos, result in enumerate(results):
+        if isinstance(result, tuple):
+            pos, result = result
+        entries[pos] = _score_entry(result)
+    if not entries:
         raise ValueError("need at least one scored sentence")
-    inv, bias = first.instance.inventory, first.instance.bias
-    sentences = [_score_entry(first)]
-    del first
-    sentences += map(_score_entry, results)
+    inv, bias = result.instance.inventory, result.instance.bias
     return {
         "version": 2,  # version 1 also held each sentence's ranking vectors
         "seed": seed,
         "entity_types": list(inv.entity_types),
         "relation_types": list(inv.relation_types),
         "bias": to_json(bias) if bias is not None else None,
-        "sentences": sentences,
+        "sentences": [entries[pos] for pos in range(len(entries))],
     }
 
 

@@ -8,6 +8,10 @@ feed-forward outputs are consumed through plain residual adds by the
 callers.  Identical inputs give bitwise-identical outputs on a given
 platform.
 
+The matrix kernels also take a stack of S matrices on a leading axis, one
+per sentence.  Each product keeps one sentence's shape, never one tall
+(S * N)-row product, whose rows BLAS may round by where they sit.
+
 The scalar head sums each row with np.einsum rather than a BLAS gemv: a
 gemv rounds a row by where it sits (OpenBLAS treats the last N mod 4 rows
 apart), so equal rows could score unequal and break top-k ties.  einsum
@@ -32,24 +36,29 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def as_matrix(x, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a 2-D float64 array, optionally checking the shape."""
+    """Coerce to a 2-D float64 array or a stack of them, checking shapes."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-    if rows is not None and a.shape[0] != rows:
-        raise ValueError(f"expected {rows} rows, got {a.shape[0]}")
-    if cols is not None and a.shape[1] != cols:
-        raise ValueError(f"expected {cols} cols, got {a.shape[1]}")
+    if a.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D array or a stack of them, got shape {a.shape}")
+    if rows is not None and a.shape[-2] != rows:
+        raise ValueError(f"expected {rows} rows, got {a.shape[-2]}")
+    if cols is not None and a.shape[-1] != cols:
+        raise ValueError(f"expected {cols} cols, got {a.shape[-1]}")
     return a
 
 
+def unstack(x: np.ndarray, count: int) -> list[np.ndarray]:
+    """The count arrays of a stack, each its own copy; one array is no stack."""
+    return [x] if count == 1 else [a.copy() for a in x]
+
+
 def linear(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Affine map x @ w (+ bias)."""
+    """Affine map x @ w (+ bias); x may be a stack of matrices."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    if x.ndim != 2 or w.ndim != 2:
-        raise ValueError("linear expects 2-D operands")
-    if x.shape[1] != w.shape[0]:
+    if x.ndim not in (2, 3) or w.ndim != 2:
+        raise ValueError("linear expects 2-D operands (x may be a stack of them)")
+    if x.shape[-1] != w.shape[0]:
         raise ValueError(f"inner dimensions disagree: {x.shape} @ {w.shape}")
     out = x @ w
     if bias is not None:
@@ -90,9 +99,9 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
 def _softmax_rows_in_place(m: np.ndarray) -> np.ndarray:
     """softmax_rows(m), written over m: attention over K x L keys then holds
     one heads x K x L buffer, not four."""
-    m -= m.max(axis=-1, keepdims=True)
+    m -= np.maximum.reduce(m, axis=-1, keepdims=True)
     np.exp(m, out=m)
-    m /= m.sum(axis=-1, keepdims=True)
+    m /= np.add.reduce(m, axis=-1, keepdims=True)
     return m
 
 
@@ -141,8 +150,9 @@ class AttentionWeights:
 
 
 def _split_heads(x: np.ndarray, parts: int, heads: int) -> np.ndarray:
-    """(N, parts * heads * head_dim) -> (parts, heads, N, head_dim), as a view."""
-    return x.reshape(x.shape[0], parts, heads, -1).transpose(1, 2, 0, 3)
+    """([S,] N, parts * heads * hd) -> (parts, [S,] heads, N, hd), a view."""
+    axes = (1, 2, 0, 3) if x.ndim == 2 else (2, 0, 3, 1, 4)
+    return x.reshape(*x.shape[:-1], parts, heads, -1).transpose(axes)
 
 
 def multi_head_attention(
@@ -150,13 +160,13 @@ def multi_head_attention(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention with per-head projections.
 
-    Returns (output, attn) where output has the queries' shape (Q, dim) and
-    attn has shape (heads, Q, N); each attn row is a distribution over the
-    N key positions.  Scaling is 1/sqrt(head_dim).
+    Returns (output, attn): output has the queries' shape ([S,] Q, dim), attn
+    ([S,] heads, Q, N), each attn row a distribution over the N key
+    positions, for S stacked matrices.  Scaling is 1/sqrt(head_dim).
     """
     q = as_matrix(queries, cols=params.dim)
     kv = as_matrix(keys_values, cols=params.dim)
-    if kv.shape[0] == 0:
+    if kv.shape[-2] == 0:
         raise ValueError("attention needs at least one key/value position")
     scale = 1.0 / np.sqrt(float(params.head_dim))
     # Every head at once from the stacked projection, in one product when
@@ -168,11 +178,11 @@ def multi_head_attention(
     else:
         (qh,) = _split_heads(q @ w[:, :d], 1, h)
         kh, vh = _split_heads(kv @ w[:, d:], 2, h)
-    logits = qh @ kh.transpose(0, 2, 1)
+    logits = qh @ kh.swapaxes(-1, -2)
     logits *= scale
     attn = _softmax_rows_in_place(logits)
-    out = np.zeros_like(q)
-    for head_out in (attn @ vh) @ params.wo:  # summed in head order
+    out = np.zeros(q.shape)
+    for head_out in ((attn @ vh) @ params.wo).swapaxes(0, -3):  # in head order
         out += head_out
     return out, attn
 

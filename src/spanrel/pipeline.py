@@ -1,4 +1,4 @@
-"""End-to-end forward pass for one sentence.
+"""End-to-end forward pass over sentences.
 
 Tokens are hash-encoded into embeddings, every span up to the width limit
 is ranked and pruned to the top K, survivors are classified into entity
@@ -8,15 +8,22 @@ any decoder.  Both candidate sets are CandidateGrids in factored form:
 their L*M and K*K rows are ranked without being built, and only the kept
 ones are.  Pure function of (tokens, params, config):
 identical inputs give bit-identical outputs.
-"""
+
+Sentences are scored in stacks of equal length, every stage once per stack
+on a leading axis; every product keeps one sentence's shape, so a sentence
+gets the same bits in any stack as alone, or as forward's stack of one."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import groupby
+
+import numpy as np
 
 from .decode import ALGORITHMS, ScoredInstance
-from .filter_refine import FilterResult, filter_and_refine
+from .filter_refine import FilterResult, RaggedStackError, filter_and_refine, split
+from .numerics import unstack
 from .params import ModelParams
 # forward never calls enumerate_spans, span_representations or
 # relation_representations, the dense views of span_grid and pair_grid;
@@ -35,6 +42,7 @@ from .representation import (  # noqa: F401
 
 
 SHOWN_MAX = 80  # the longest repr of a value an error message prints
+STACK_SIZE = 8  # sentences per stack; 16 scored short sentences no faster
 
 
 def shown(value: object) -> str:
@@ -116,72 +124,90 @@ def default_k_span(length: int, max_span_width: int) -> int:
 
 
 def forward(
-    tokens: Sequence[str],
-    params: ModelParams,
-    config: RunConfig | None = None,
+    tokens: Sequence[str], params: ModelParams, config: RunConfig | None = None
 ) -> ForwardResult:
-    """Score one sentence: embed, enumerate, filter, classify, twice over."""
-    if config is None:
-        config = RunConfig()
+    """Score one sentence as forward_batch([tokens], params, config)[0] does."""
+    return _forward_stack([_checked(tokens)], params, config or RunConfig())[0]
+
+
+def forward_batch(
+    sentences: Sequence[Sequence[str]], params: ModelParams, config: RunConfig | None = None
+) -> list[ForwardResult]:
+    """forward of each sentence, in input order, scored as forward_stacks does."""
+    results = dict(forward_stacks(sentences, params, config))
+    return [results[pos] for pos in range(len(sentences))]
+
+
+def forward_stacks(
+    sentences: Sequence[Sequence[str]], params: ModelParams, config: RunConfig | None = None
+) -> Iterator[tuple[int, ForwardResult]]:
+    """(input position, ForwardResult) of every sentence, shortest first, in
+    stacks of at most STACK_SIZE equal-length sentences, each stage once per
+    stack.  Only the current stack's results are held, results share no
+    memory, and every sentence is checked before any is scored."""
+    config = config or RunConfig()
+    sentences = [_checked(tokens) for tokens in sentences]
+    order = sorted(range(len(sentences)), key=lambda pos: len(sentences[pos]))
+    for _, same in groupby(order, key=lambda pos: len(sentences[pos])):
+        same = list(same)
+        for group in (same[lo : lo + STACK_SIZE] for lo in range(0, len(same), STACK_SIZE)):
+            stack = [sentences[pos] for pos in group]
+            try:
+                results = _forward_stack(stack, params, config)
+            except RaggedStackError:  # a stack of one never is
+                results = [_forward_stack([tokens], params, config)[0] for tokens in stack]
+            while results:  # each result is dropped here once handed out
+                yield group.pop(), results.pop()
+
+
+def _checked(tokens: Sequence[str]) -> tuple[str, ...]:
     tokens = tuple(tokens)
     if not tokens:
         raise ValueError("need at least one token")
     if any(not isinstance(t, str) or not t for t in tokens):
         raise ValueError("tokens must be non-empty strings")
+    return tokens
 
-    vectors = encode_tokens(tokens, params.dim, config.seed)
-    spans = span_grid(vectors, params.max_span_width, params.span_proj)
-    k_span = (
-        config.k_span
-        if config.k_span is not None
-        else default_k_span(len(tokens), params.max_span_width)
-    )
+
+def _forward_stack(
+    sentences: list[tuple[str, ...]], params: ModelParams, config: RunConfig
+) -> list[ForwardResult]:
+    """Sentences of one length, each stage once; one sentence runs on plain matrices."""
+    count, length, width = len(sentences), len(sentences[0]), params.max_span_width
+    vectors = [encode_tokens(tokens, params.dim, config.seed) for tokens in sentences]
+    vectors = vectors[0] if count == 1 else np.array(vectors)
+    spans = span_grid(vectors, width, params.span_proj)
+    k_span = config.k_span if config.k_span is not None else default_k_span(length, width)
     span_fr = filter_and_refine(
-        spans,
-        vectors,
-        k_span,
-        params.span_filter,
-        params.span_read,
-        params.span_process_attn,
-        params.span_process_ffn,
-        valid=spans.valid,
-        depth=config.depth,
+        spans, vectors, k_span, params.span_filter, params.span_read,
+        params.span_process_attn, params.span_process_ffn, valid=spans.valid, depth=config.depth,
     )
     entity_logits = classify_spans(span_fr.representations, params.entity_head)
 
     pairs = pair_grid(span_fr.representations, params.relation_proj)
     k_rel = config.k_rel if config.k_rel is not None else k_span
     pair_fr = filter_and_refine(
-        pairs,
-        vectors,
-        k_rel,
-        params.relation_filter,
-        params.relation_read,
-        params.relation_process_attn,
-        params.relation_process_ffn,
-        valid=pairs.valid,
+        pairs, vectors, k_rel, params.relation_filter, params.relation_read,
+        params.relation_process_attn, params.relation_process_ffn, valid=pairs.valid,
         depth=config.depth,
     )
     relation_logits = classify_relations(pair_fr.representations, params.relation_head)
 
-    starts, ends = spans.endpoints(span_fr.kept_indices)
-    heads, tails = pairs.endpoints(pair_fr.kept_indices)
-    instance = ScoredInstance(
-        length=len(tokens),
-        spans=tuple(zip(starts.tolist(), ends.tolist())),
-        entity_logits=entity_logits,
-        pairs=tuple(zip(heads.tolist(), tails.tolist())),
-        relation_logits=relation_logits,
-        inventory=params.inventory,
-        bias=params.bias,
-        tokens=tokens,
+    starts, ends = spans.endpoints(np.array(span_fr.kept_indices).reshape(count, -1))
+    heads, tails = pairs.endpoints(np.array(pair_fr.kept_indices).reshape(count, -1))
+    columns = zip(
+        sentences, zip(starts.tolist(), ends.tolist()), unstack(entity_logits, count),
+        zip(heads.tolist(), tails.tolist()), unstack(relation_logits, count),
+        split(span_fr, count), split(pair_fr, count),
     )
-    return ForwardResult(
-        instance=instance,
-        max_span_width=params.max_span_width,
-        span_filter=span_fr,
-        pair_filter=pair_fr,
-    )
+    return [
+        ForwardResult(
+            ScoredInstance(length, tuple(zip(*se)), ent, tuple(zip(*ht)), rel, params.inventory,
+                           params.bias, tokens),
+            width, span_part, pair_part,
+        )
+        for tokens, se, ent, ht, rel, span_part, pair_part in columns
+    ]
 
 
 __all__ = [
@@ -189,5 +215,7 @@ __all__ = [
     "RunConfig",
     "default_k_span",
     "forward",
+    "forward_batch",
+    "forward_stacks",
     "normalize_algorithm",
 ]

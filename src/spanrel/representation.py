@@ -20,6 +20,9 @@ the forward pass builds neither the L*M span matrix nor the K*K pair grid;
 D-wide rows are built only for the cells kept.  enumerate_spans,
 span_representations and relation_representations are dense views of the
 same grids.
+
+A CandidateGrid may also hold a stack of grids of one shape, one per
+sentence of a stack of equal-length sentences, on a leading axis.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .numerics import FeedForwardParams, feed_forward, make_rng, scalar_head
 # Token vectors cached per (token, dim, seed); about 5 MB at dim 64.
 TOKEN_CACHE_SIZE = 8192
 # Cells of a candidate grid ranked per step: the ranking buffer holds
-# max(16, RANK_BLOCK // W) grid rows of W cells x hidden floats.
+# max(16, RANK_BLOCK // W) rows of one grid, W cells x hidden floats each.
 RANK_BLOCK = 2048
 
 NULL_ENTITY = "non-entity"
@@ -136,17 +139,20 @@ def enumerate_spans(length: int, max_width: int) -> list[SpanCandidate]:
 
 
 def valid_span_count(length: int, max_width: int) -> int:
-    return sum(min(max_width, length - i) for i in range(length))
+    """sum(min(max_width, length - i) for i in range(length)), in closed form."""
+    m = max(0, min(length, max_width))
+    return m * (m + 1) // 2 + (max(length, 0) - m) * max_width
 
 
 def _endpoint_factors(
     x: np.ndarray, w: np.ndarray, name: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """(x @ w[:D], x @ w[D:]) for the 2D x D matrix w called `name`: the
-    left and right factors of concat(x[a], x[b]) @ w = left[a] + right[b]."""
+    left and right factors of concat(x[a], x[b]) @ w = left[a] + right[b];
+    x may be a stack of matrices."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    d = x.shape[1]
+    d = x.shape[-1]
     if w.shape != (2 * d, d):
         raise ValueError(f"{name} shape {w.shape} != {(2 * d, d)}")
     return x @ w[:d], x @ w[d:]
@@ -154,18 +160,19 @@ def _endpoint_factors(
 
 @dataclass(frozen=True)
 class CandidateGrid:
-    """A row-major (A, W) grid of candidate rows in factored form.
+    """A row-major (A, W) grid of candidate rows in factored form, or a stack.
 
     Cell (a, w) has flat index a * W + w and row head[a] + tail[a * step + w];
     no A*W x D matrix is built unless rows() is asked for every cell.  valid
-    masks the flat cells.  See the module docstring for the two grids.
+    masks the flat cells.  A stack of grids carries a leading axis on head,
+    tail and valid, and indexes cells per grid.  See the module docstring.
     """
 
-    head: np.ndarray  # (A, D)
-    tail: np.ndarray  # ((A - 1) * step + W, D)
+    head: np.ndarray  # ([S,] A, D)
+    tail: np.ndarray  # ([S,] (A - 1) * step + W, D)
     width: int
     step: int
-    valid: np.ndarray  # (A * W,) bool
+    valid: np.ndarray  # ([S,] A * W) bool
 
     def endpoints(self, index) -> tuple[np.ndarray, np.ndarray]:
         """(a, a * step + w) of the given flat cells: a span's (start, end),
@@ -174,39 +181,50 @@ class CandidateGrid:
         return a, a * self.step + w
 
     def rows(self, index) -> np.ndarray:
-        """Representation rows of the given flat cells."""
+        """Rows of the given flat cells; of a stack's, (S, m) cells per grid."""
         a, t = self.endpoints(index)
-        return self.head[a] + self.tail[t]
+        if self.head.ndim == 2:
+            return self.head[a] + self.tail[t]
+        s = np.arange(len(a))[:, None]
+        return self.head[s, a] + self.tail[s, t]
 
     def _windows(self, x: np.ndarray) -> np.ndarray:
-        """(A, W, ...) view of x[a * step + w] for a C-contiguous x: no copy."""
-        shape = (len(self.head), self.width, *x.shape[1:])
-        strides = (self.step * x.strides[0], *x.strides)
+        """(S, A, W, ...) view of x[s, a * step + w] for a C-contiguous x."""
+        shape = (len(x), self.head.shape[-2], self.width, *x.shape[2:])
+        strides = (x.strides[0], self.step * x.strides[1], *x.strides[1:])
         return np.ndarray(shape, x.dtype, buffer=x, strides=strides)
 
     def rank(self, ffn: FeedForwardParams) -> np.ndarray:
         """Ranking score of every cell in flat order, invalid ones included,
-        through the factored first layer a = head @ W1 + b1, b = tail @ W1.
-        Scores w2 . relu(a + b) are summed as w2 . max(a, -b) + w2 . b, one
-        pass over a (rows, W, hidden) buffer per block of grid rows, instead
-        of an A*W x hidden one."""
-        a = self.head @ ffn.w1 + ffn.b1
-        b = self.tail @ ffn.w1
+        shaped like valid, through the factored first layer
+        a = head @ W1 + b1, b = tail @ W1.  Scores w2 . relu(a + b) are
+        summed as w2 . max(a, -b) + w2 . b, one pass over a (rows, W, hidden)
+        buffer per block of one grid's rows, instead of an A*W x hidden one."""
+        a, b = self.head @ ffn.w1 + ffn.b1, self.tail @ ffn.w1
+        a, b = (a[None], b[None]) if a.ndim == 2 else (a, b)  # a grid is a stack of one
         neg_b = self._windows(-b)
-        n, block_rows = len(a), max(16, RANK_BLOCK // max(1, self.width))
-        buf = np.empty((min(block_rows, n), self.width, a.shape[1]))
-        scores = np.empty((n, self.width))
-        for lo in range(0, n, block_rows):
-            block = buf[: min(block_rows, n - lo)]
-            hi = lo + len(block)
-            np.maximum(a[lo:hi, None, :], neg_b[lo:hi], out=block)
-            scores[lo:hi] = scalar_head(block, ffn)
+        (stack, n, hidden), width = a.shape, self.width
+        rows = max(16, RANK_BLOCK // max(1, width))
+        buf = np.empty((min(rows, n), width, hidden))
+        scores = np.empty((stack, n, width))
+        for s in range(stack):
+            for lo in range(0, n, rows):
+                block = buf[: min(rows, n - lo)]
+                hi = lo + len(block)
+                np.maximum(a[s, lo:hi, None], neg_b[s, lo:hi], out=block)
+                scores[s, lo:hi] = scalar_head(block, ffn)
         scores += self._windows(scalar_head(b, ffn) + ffn.b2[0])
-        return scores.ravel()
+        return scores.reshape(self.valid.shape)
+
+
+def _each(mask: np.ndarray, lead: list[int]) -> np.ndarray:
+    """One grid's cell mask, repeated for each grid of a stack."""
+    return mask.reshape(1, -1).repeat(lead[0], axis=0) if lead else mask
 
 
 def span_grid(embeddings: np.ndarray, max_width: int, w_ent: np.ndarray) -> CandidateGrid:
-    """The L*M span grid concat(x[start], x[end]) @ w_ent, step 1.
+    """The L*M span grid concat(x[start], x[end]) @ w_ent, step 1, of one
+    sentence's (L, D) embeddings or of each of a stack's (S, L, D).
 
     The tail factor carries max_width - 1 zero rows past the sentence, so
     every window stays in bounds; the cells that read them are invalid.
@@ -214,17 +232,19 @@ def span_grid(embeddings: np.ndarray, max_width: int, w_ent: np.ndarray) -> Cand
     if max_width < 1:
         raise ValueError("max_width must be positive")
     left, right = _endpoint_factors(embeddings, w_ent, "w_ent")
-    tail = np.concatenate([right, np.zeros((max_width - 1, right.shape[1]))])
-    starts, widths = np.divmod(np.arange(len(left) * max_width), max_width)
-    return CandidateGrid(left, tail, max_width, 1, starts + widths < len(left))
+    *lead, length, dim = left.shape
+    tail = np.concatenate([right, np.zeros((*lead, max_width - 1, dim))], axis=-2)
+    starts, widths = np.divmod(np.arange(length * max_width), max_width)
+    return CandidateGrid(left, tail, max_width, 1, _each(starts + widths < length, lead))
 
 
 def pair_grid(span_reps: np.ndarray, w_rel: np.ndarray) -> CandidateGrid:
-    """The K*K ordered-pair grid w_rel^T (head ++ tail), step 0; self-pairs
-    are cells but invalid."""
+    """The K*K ordered-pair grid w_rel^T (head ++ tail), step 0, of one
+    sentence's (K, D) span rows or of each of a stack's (S, K, D);
+    self-pairs are cells but invalid."""
     head, tail = _endpoint_factors(span_reps, w_rel, "w_rel")
-    k = len(head)
-    return CandidateGrid(head, tail, k, 0, ~np.eye(k, dtype=bool).ravel())
+    *lead, k, _ = head.shape
+    return CandidateGrid(head, tail, k, 0, _each(~np.eye(k, dtype=bool).ravel(), lead))
 
 
 def span_representations(
@@ -250,15 +270,15 @@ def relation_representations(
 
 def classify_spans(span_reps: np.ndarray, head_params) -> np.ndarray:
     """Raw entity-type logits, one row per span; column 0 is the null label."""
-    if span_reps.shape[0] < 1:
+    if span_reps.shape[-2] < 1:
         raise ValueError("need at least one span representation")
     return feed_forward(span_reps, head_params)
 
 
 def classify_relations(rel_reps: np.ndarray, head_params) -> np.ndarray:
     """Raw relation-type logits, one row per pair; column 0 is the null label."""
-    if rel_reps.shape[0] == 0:
-        return np.zeros((0, head_params.out_dim))
+    if rel_reps.shape[-2] == 0:
+        return np.zeros((*rel_reps.shape[:-1], head_params.out_dim))
     return feed_forward(rel_reps, head_params)
 
 

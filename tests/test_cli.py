@@ -31,6 +31,7 @@ from spanrel import (
     load_structure_file,
     params_from_json,
     params_to_json,
+    score_document,
 )
 from spanrel.formats import read_json, validate_document, write_json
 
@@ -161,6 +162,25 @@ def test_score_memory_does_not_grow_with_the_corpus(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak <= 30e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_score_writes_each_sentence_at_its_input_position(tmp_path):
+    """score runs stacks of equal-length sentences, shortest first, yet
+    writes the bytes that packing one forward per sentence in input order
+    gives."""
+    rng = np.random.default_rng(7)
+    vocab = [f"w{i}" for i in range(40)]
+    lengths = rng.permutation([1, 2, 3] * 3 + [6] * 20 + list(range(4, 30, 3)))
+    sentences = [[vocab[j] for j in rng.integers(0, len(vocab), n)] for n in lengths]
+    path = tmp_path / "sentences.json"
+    write_json(str(path), {"sentences": [{"tokens": t} for t in sentences]})
+    out = tmp_path / "scores.json"
+    assert cli.main(["score", str(path), PARAMS, "-o", str(out), "--seed", "3", "--depth", "2"]) == 0
+    params = params_from_json(read_json(PARAMS))
+    config = RunConfig(seed=3, depth=2)
+    want = tmp_path / "want.json"
+    write_json(str(want), score_document([forward(t, params, config) for t in sentences], 3))
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_decode_verify_roundtrip(tmp_path):

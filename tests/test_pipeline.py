@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -166,3 +167,131 @@ def test_tracer_counts_valid_and_kept_candidates(small_params):
     assert counts["filter_refine.pair.valid"] == k * (k - 1)
     assert counts["filter_refine.span.kept"] == len(result.span_filter.kept_indices)
     assert counts["filter_refine.pair.kept"] == len(result.pair_filter.kept_indices)
+
+
+# ---------------------------------------------------------------------------
+# stacks of equal-length sentences
+
+
+def _arrays(result):
+    """Every array a ForwardResult holds, by name."""
+    out = {
+        "entity_logits": result.instance.entity_logits,
+        "relation_logits": result.instance.relation_logits,
+    }
+    for level, fr in (("span", result.span_filter), ("pair", result.pair_filter)):
+        out[f"{level}.representations"] = fr.representations
+        out[f"{level}.ranking_scores"] = fr.ranking_scores
+        if fr.read_attention is not None:
+            out[f"{level}.read_attention"] = fr.read_attention
+    return out
+
+
+def _assert_same(got, want, where):
+    assert got.instance.spans == want.instance.spans, where
+    assert got.instance.pairs == want.instance.pairs, where
+    assert got.instance.tokens == want.instance.tokens, where
+    assert got.span_filter.kept_indices == want.span_filter.kept_indices, where
+    assert got.pair_filter.kept_indices == want.pair_filter.kept_indices, where
+    a, b = _arrays(got), _arrays(want)
+    assert a.keys() == b.keys(), where
+    for name in a:
+        assert a[name].shape == b[name].shape, f"{where} {name}"
+        assert a[name].tobytes() == b[name].tobytes(), f"{where} {name}"
+
+
+def _mixed_sentences(seed: int) -> list[tuple[str, ...]]:
+    """Shuffled sentences of lengths 1 (no pairs), 2-3 (under the width
+    limit 4), 4 and 6-9 (over it), with a length that fills more than one
+    stack, and sentences of one repeated token, whose equal spans tie."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(12)]
+    lengths = [1, 1, 2, 3, 3, 4, 6, 7, 9, 9] + [5] * (pipeline.STACK_SIZE + 3)
+    sentences = [tuple(vocab[i] for i in rng.integers(0, len(vocab), n)) for n in lengths]
+    sentences += [("the",) * 5, ("the",) * 7, ("a", "b") * 3]
+    return [sentences[i] for i in rng.permutation(len(sentences))]
+
+
+pipeline = importlib.import_module("spanrel.pipeline")
+
+STACK_CONFIGS = {
+    "default": RunConfig(),
+    "depth2": RunConfig(depth=2),
+    "k-overrides": RunConfig(k_span=3, k_rel=5),
+}
+
+
+@pytest.mark.parametrize("config", STACK_CONFIGS.values(), ids=STACK_CONFIGS.keys())
+def test_forward_batch_matches_forward_one_sentence_at_a_time(small_params, config):
+    """Stacks of equal lengths score every sentence bit for bit as forward
+    alone does, and hand the results back in input order."""
+    sentences = _mixed_sentences(4)
+    got = pipeline.forward_batch(sentences, small_params, config)
+    assert len(got) == len(sentences)
+    for pos, (tokens, result) in enumerate(zip(sentences, got)):
+        _assert_same(result, forward(tokens, small_params, config), f"sentence {pos}")
+
+
+@pytest.mark.parametrize("level", ["span_filter", "relation_filter"])
+def test_a_stack_whose_kept_counts_differ_matches_forward(small_params, level):
+    """Finite but huge ranking weights make NaN scores, which drop out of
+    top-k, so sentences of one length keep different numbers of spans (or
+    pairs); such a stack still scores as one sentence at a time.  A
+    sentence that keeps no span fails alone, and fails its stack alike."""
+    ffn = getattr(small_params, level)
+    params = dataclasses.replace(small_params, **{level: dataclasses.replace(ffn, w1=ffn.w1 * 1e150)})
+    sentences, alone = [], []
+    for tokens in _mixed_sentences(5):
+        try:
+            alone.append(forward(tokens, params))
+            sentences.append(tokens)
+        except ValueError as exc:
+            assert str(exc) == "need at least one span representation"
+            with pytest.raises(ValueError, match=str(exc)):
+                pipeline.forward_batch([tokens, *sentences], params)
+    got = pipeline.forward_batch(sentences, params)
+    kept = {}
+    for pos, (tokens, result) in enumerate(zip(sentences, got)):
+        _assert_same(result, alone[pos], f"sentence {pos}")
+        fr = result.span_filter if level == "span_filter" else result.pair_filter
+        kept.setdefault(len(tokens), set()).add(len(fr.kept_indices))
+    assert any(len(counts) > 1 for counts in kept.values()), "no ragged stack"
+
+
+def test_forward_batch_results_share_no_memory(small_params):
+    got = pipeline.forward_batch(_mixed_sentences(6), small_params, RunConfig(depth=2))
+    arrays = [(pos, a) for pos, result in enumerate(got) for a in _arrays(result).values()]
+    for i, (pos, a) in enumerate(arrays):
+        for other, b in arrays[i + 1 :]:
+            if other != pos:
+                assert not np.shares_memory(a, b), (pos, other)
+
+
+def test_forward_batch_checks_every_sentence(small_params):
+    with pytest.raises(ValueError, match="non-empty strings"):
+        pipeline.forward_batch([("ok",), ("fine", "")], small_params)
+    assert pipeline.forward_batch([], small_params) == []
+
+
+def test_forward_stacks_scores_equal_lengths_together_shortest_first(small_params, monkeypatch):
+    sentences = [("a",) * n for n in [3, 1, 3, 2] + [4] * (pipeline.STACK_SIZE + 1)]
+    seen, score = [], pipeline._forward_stack
+    monkeypatch.setattr(
+        pipeline, "_forward_stack", lambda stack, *rest: seen.append(stack) or score(stack, *rest)
+    )
+    positions = [pos for pos, _ in pipeline.forward_stacks(sentences, small_params)]
+    assert sorted(positions) == list(range(len(sentences)))
+    assert positions[:2] == [1, 3] and sorted(positions[2:4]) == [0, 2]
+    assert [len(stack[0]) for stack in seen] == [1, 2, 3, 4, 4]
+    assert all(len(set(map(len, stack))) == 1 for stack in seen)
+    assert max(map(len, seen)) == pipeline.STACK_SIZE
+
+
+def test_forward_stacks_keeps_no_result_it_handed_out(small_params):
+    """score packs each result as it comes: once the caller drops one,
+    nothing else holds it, even before its stack is done."""
+    sentences = [("a", "b", "c")] * 3 + [("a",)] * 2
+    for pos, result in pipeline.forward_stacks(sentences, small_params):
+        ref = weakref.ref(result)
+        del result
+        assert ref() is None, pos

@@ -18,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import spanrel.cli as cli
@@ -453,6 +454,15 @@ def test_one_bad_token_among_many_builds_few_errors(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err == "error: invalid sentences document at sentences/0/tokens/0: 0 is not of type 'string'\n"
     assert len(built) <= 2
+
+
+def test_an_item_the_walk_accepts_does_not_end_the_search():
+    """A numpy.str_ token fails the bulk check, whose types are exact, but
+    jsonschema's walk of it finds nothing; the search goes on after it, to
+    the token that is wrong."""
+    with pytest.raises(FormatError, match="at sentences/0/tokens/1: 5 is not of type 'string'"):
+        validate_document({"sentences": [{"tokens": [np.str_("a"), 5]}]}, "sentences")
+    validate_document({"sentences": [{"tokens": [np.str_("a"), "b"]}]}, "sentences")
 
 
 def test_a_document_of_the_wrong_type_is_named_not_printed(tmp_path, capsys):
