@@ -15,12 +15,15 @@ messages are the ones it gives.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from functools import cache
 from importlib import resources
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import jsonschema
@@ -342,20 +345,42 @@ def read_json(path: str) -> object:
         return read_json_stdlib(path)
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """No cyclic garbage collection inside; the collector's prior state after.
+
+    Parsing allocates a container per JSON array and object.  Every 700
+    of them start a collection of the young ones, and what survives piles
+    up until full collections walk it all again.  A parsed document holds
+    no reference cycle, so none of those walks frees anything: on a score
+    file of 3,000 sentences they took a fifth of `spanrel decode`.  The
+    pause covers loading only, never a whole command, so a long-lived
+    process still runs its full collections."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_document(path: str, schema_name: str) -> object:
-    """Read path and validate it as a schema_name document.
+    """Read path and validate it as a schema_name document, with the cyclic
+    collector paused.
 
     orjson reads an integer beyond 64 bits as a float and has no nesting
     limit, and both show only when validation refuses the document.  So a
     refused document is read again by read_json_stdlib and validated
     again, and that verdict stands."""
-    doc = read_json(path)
-    try:
-        validate_document(doc, schema_name)
-    except (FormatError, RecursionError):
-        doc = read_json_stdlib(path)
-        validate_document(doc, schema_name)
-    return doc
+    with _collector_paused():
+        doc = read_json(path)
+        try:
+            validate_document(doc, schema_name)
+        except (FormatError, RecursionError):
+            doc = read_json_stdlib(path)
+            validate_document(doc, schema_name)
+        return doc
 
 
 _NON_ASCII = re.compile("[\x7f-\U0010ffff]")
@@ -370,6 +395,12 @@ def _ascii_escape(match: re.Match) -> str:
     return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
 
 
+# A JSON null in orjson's compact output: it follows ":", "," or "[" or
+# starts the text, and precedes ",", "]", "}" or the final newline.  Text
+# inside a string can match too, which costs only the stdlib check.
+_NULL_LITERAL = re.compile(rb"(?<![^:,\[])null(?=[,\]}\n])")
+
+
 def _stdlib_canonical(doc: object) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
 
@@ -380,7 +411,7 @@ def _canonical_bytes(doc: object) -> bytes:
     except orjson.JSONEncodeError:
         # numpy scalars, integers beyond 64 bits, lone surrogates, deep nesting
         return _stdlib_canonical(doc).encode("ascii")
-    if b"null" in data:
+    if b"null" in data and _NULL_LITERAL.search(data):
         _stdlib_canonical(doc)  # orjson writes NaN and infinities as null
     if not data.isascii() or b"\x7f" in data:
         # Outside strings orjson writes ASCII only.
@@ -476,13 +507,37 @@ def score_document(results: Iterable, seed: int) -> dict:
 
 
 def _logit_grid(rows: list, types: int) -> np.ndarray:
-    """One row of logits per candidate; no candidates is a (0, types) grid."""
+    """One read-only row of logits per candidate; no candidates is a
+    (0, types) grid."""
     grid = np.asarray(rows, dtype=np.float64)
-    return grid if len(rows) else grid.reshape(0, types)
+    grid = grid if len(rows) else grid.reshape(0, types)
+    grid.flags.writeable = False
+    return grid
+
+
+def _logit_views(entries: list, key: str, types: int) -> list[np.ndarray] | None:
+    """Each sentence's logits under key, as views of one read-only array
+    converted for the whole file; None unless every row has types entries,
+    and then each sentence is converted and checked on its own."""
+    rows = list(chain.from_iterable(entry[key] for entry in entries))
+    if set(map(len, rows)) - {types}:
+        return None
+    flat = chain.from_iterable(rows)
+    try:
+        grid = np.fromiter(flat, dtype=np.float64, count=len(rows) * types)
+    except (TypeError, ValueError):  # left to the per-sentence conversion
+        return None
+    grid = grid.reshape(len(rows), types)
+    grid.flags.writeable = False
+    starts = list(accumulate((len(entry[key]) for entry in entries), initial=0))
+    return [grid[a:b] for a, b in zip(starts, starts[1:])]
 
 
 def instances_from_score_doc(doc: dict) -> list[ScoredInstance]:
-    """Rebuild decoder inputs from a validated score document."""
+    """Rebuild decoder inputs from a validated score document.
+
+    The entity logits of all sentences are converted to one array, and so
+    are the relation logits; each instance holds read-only views of them."""
     inventory = TypeInventory(
         tuple(doc["entity_types"]), tuple(doc["relation_types"])
     )
@@ -498,16 +553,22 @@ def instances_from_score_doc(doc: dict) -> list[ScoredInstance]:
                 f"score bias: joint table has shape {bias.joint.shape}, "
                 f"the inventory needs ({e}, {e}, {r})"
             )
+    entries = doc["sentences"]
+    n_ent, n_rel = inventory.num_entity_types, inventory.num_relation_types
+    ent_views = _logit_views(entries, "entity_logits", n_ent)
+    rel_views = _logit_views(entries, "relation_logits", n_rel)
     out = []
-    for pos, entry in enumerate(doc["sentences"]):
+    for pos, entry in enumerate(entries):
         try:
+            ent = ent_views[pos] if ent_views else _logit_grid(entry["entity_logits"], n_ent)
+            rel = rel_views[pos] if rel_views else _logit_grid(entry["relation_logits"], n_rel)
             out.append(
                 ScoredInstance(
                     length=entry["length"],
-                    spans=tuple((s[0], s[1]) for s in entry["spans"]),
-                    entity_logits=_logit_grid(entry["entity_logits"], inventory.num_entity_types),
-                    pairs=tuple((p[0], p[1]) for p in entry["pairs"]),
-                    relation_logits=_logit_grid(entry["relation_logits"], inventory.num_relation_types),
+                    spans=tuple(map(tuple, entry["spans"])),
+                    entity_logits=ent,
+                    pairs=tuple(map(tuple, entry["pairs"])),
+                    relation_logits=rel,
                     inventory=inventory,
                     bias=bias,
                     tokens=tuple(entry["tokens"]) if "tokens" in entry else None,
@@ -519,8 +580,11 @@ def instances_from_score_doc(doc: dict) -> list[ScoredInstance]:
 
 
 def load_score_file(path: str) -> tuple[dict, list[ScoredInstance]]:
-    doc = load_document(path, "score")
-    return doc, instances_from_score_doc(doc)
+    """The validated score document and its decoder inputs, loaded with the
+    cyclic collector paused (see load_document)."""
+    with _collector_paused():
+        doc = load_document(path, "score")
+        return doc, instances_from_score_doc(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -611,19 +675,28 @@ BUNDLED_CONSTRAINTS = ("conll04", "ace05")
 
 
 def load_constraint_set(name_or_path: str) -> ConstraintSet:
-    """Resolve a bundled fixture name (conll04, ace05) or a file path."""
+    """Resolve a bundled fixture name (conll04, ace05) or a file path.
+
+    A bundled set is read once per process and the same object returned
+    after; a file is read on every call."""
     if name_or_path in BUNDLED_CONSTRAINTS:
-        text = (
-            resources.files("spanrel")
-            .joinpath("data", f"{name_or_path}_constraints.json")
-            .read_text(encoding="utf-8")
-        )
-        doc = json.loads(text)
-        validate_document(doc, "constraints")
-        origin = f"bundled:{name_or_path}"
-    else:
-        doc = load_document(name_or_path, "constraints")
-        origin = name_or_path
+        return _bundled_constraint_set(name_or_path)
+    return _constraint_set(load_document(name_or_path, "constraints"), name_or_path)
+
+
+@cache
+def _bundled_constraint_set(name: str) -> ConstraintSet:
+    text = (
+        resources.files("spanrel")
+        .joinpath("data", f"{name}_constraints.json")
+        .read_text(encoding="utf-8")
+    )
+    doc = json.loads(text)
+    validate_document(doc, "constraints")
+    return _constraint_set(doc, f"bundled:{name}")
+
+
+def _constraint_set(doc: dict, origin: str) -> ConstraintSet:
     try:
         return constraints_from_doc(doc, origin=origin)
     except (KeyError, ValueError) as exc:

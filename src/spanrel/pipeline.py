@@ -101,6 +101,10 @@ class RunConfig:
             raise TypeError(f"use_bias must be true or false, got {shown(self.use_bias)}")
 
 
+# The config of a call that passes none; built once, as RunConfig is frozen.
+_DEFAULT_CONFIG = RunConfig()
+
+
 @dataclass(frozen=True)
 class ForwardResult:
     """A scored sentence plus everything a diagnostic export needs.
@@ -127,7 +131,7 @@ def forward(
     tokens: Sequence[str], params: ModelParams, config: RunConfig | None = None
 ) -> ForwardResult:
     """Score one sentence as forward_batch([tokens], params, config)[0] does."""
-    return _forward_stack([_checked(tokens)], params, config or RunConfig())[0]
+    return _forward_stack([_checked(tokens)], params, config or _DEFAULT_CONFIG)[0]
 
 
 def forward_batch(
@@ -145,7 +149,7 @@ def forward_stacks(
     stacks of at most STACK_SIZE equal-length sentences, each stage once per
     stack.  Only the current stack's results are held, results share no
     memory, and every sentence is checked before any is scored."""
-    config = config or RunConfig()
+    config = config or _DEFAULT_CONFIG
     sentences = [_checked(tokens) for tokens in sentences]
     order = sorted(range(len(sentences)), key=lambda pos: len(sentences[pos]))
     for _, same in groupby(order, key=lambda pos: len(sentences[pos])):

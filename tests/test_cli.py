@@ -9,6 +9,8 @@ fixture whose decodes are small enough to verify by hand arithmetic.
 from __future__ import annotations
 
 import csv
+import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -677,3 +679,97 @@ def test_bench_reads_the_config_file(tmp_path, config):
                    env_extra={"SPANREL_CONFIG": str(cfg)})
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# per-process work and the cyclic collector
+
+
+def test_commands_build_the_parser_once_and_make_no_cyclic_garbage(tmp_path, capsys):
+    """cli.main parses with one parser per process, and a command, once the
+    process has run it before, leaves nothing for the cyclic collector."""
+    scores, structures = str(tmp_path / "s.json"), str(tmp_path / "d.json")
+    commands = [
+        ["score", SENTENCES, PARAMS, "-o", scores],
+        ["decode", scores, "-o", structures, "--algorithm", "entity-first",
+         "--constraints", "conll04"],
+        ["verify", structures, scores],
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 0
+    assert cli._parser() is cli._parser()
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in commands:
+            assert cli.main(argv) == 0
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+
+
+def test_bundled_constraint_sets_are_read_once_and_files_every_time(tmp_path):
+    assert load_constraint_set("conll04") is load_constraint_set("conll04")
+    assert load_constraint_set("ace05") is load_constraint_set("ace05")
+    path = tmp_path / "c.json"
+    doc = {"entity_types": ["A"], "relation_types": ["R"], "non_overlap": True}
+    write_json(str(path), doc)
+    assert load_constraint_set(str(path)).non_overlap
+    write_json(str(path), {**doc, "non_overlap": False})
+    assert not load_constraint_set(str(path)).non_overlap
+
+
+_FULL_COLLECTIONS = (
+    "import gc, sys\n"
+    "import spanrel.cli as cli\n"
+    "before = gc.get_stats()[2]['collections']\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, gc.get_stats()[2]['collections'] - before)\n"
+)
+
+
+def test_a_fresh_decode_of_3000_sentences_runs_no_full_collection(tmp_path):
+    """The collector is paused while the score file loads, and decode drops
+    the parsed document once its instances are built, so the containers of
+    3,000 parsed sentences never reach the oldest generation."""
+    doc = json.loads(Path(GOLDEN_SCORE).read_text())
+    doc["sentences"] = doc["sentences"] * 750
+    scores = tmp_path / "scores.json"
+    write_json(str(scores), doc)
+    argv = ["decode", str(scores), "-o", str(tmp_path / "d.json"), "--algorithm", "entity-first"]
+    env = os.environ.copy()
+    env.pop("SPANREL_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-c", _FULL_COLLECTIONS, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def test_the_benchmark_tracer_sees_score_decode_and_verify(tmp_path, capsys):
+    """perfbench/spantrace.py, installed around score, decode and verify as
+    the cli-short workload runs them, wraps every name it lists and counts
+    one entity-first decode per sentence."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spantrace.py"
+    if not path.is_file():
+        pytest.skip("perfbench/spantrace.py is absent")
+    spec = importlib.util.spec_from_file_location("spantrace", path)
+    spantrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spantrace)
+    scores, structures = str(tmp_path / "s.json"), str(tmp_path / "d.json")
+    tracer = spantrace.Tracer()
+    with tracer.installed():
+        assert cli.main(["score", SENTENCES, PARAMS, "-o", scores]) == 0
+        assert cli.main(["decode", scores, "-o", structures, "--algorithm", "entity-first",
+                         "--constraints", "conll04"]) == 0
+        assert cli.main(["verify", structures, scores]) == 0
+    capsys.readouterr()
+    rows = tracer.aggregate()
+    assert rows["decode.entity_first"]["calls"] == len(load_sentences(SENTENCES))
+    # sentences and params, the scores in decode, structures and scores in verify
+    assert rows["formats.read_json"]["calls"] == 5
+    assert rows["formats.instances_from_score_doc"]["calls"] == 2
+    assert rows["decode.check_constraints"]["calls"] == len(load_sentences(SENTENCES))

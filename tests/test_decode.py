@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from spanrel import (
     unconstrained_constraints,
     unconstrained_decode,
 )
-from spanrel.decode import spans_overlap
+from spanrel.decode import ALGORITHMS, spans_overlap
 
 from oracles import (
     oracle_entity_first,
@@ -774,3 +775,96 @@ def test_decode_refuses_a_non_finite_objective():
             else:
                 assert math.isfinite(st.score)
     assert "joint" in raised
+
+
+# ---------------------------------------------------------------------------
+# documents
+
+
+def _document(rng, count: int, tables: list) -> list[ScoredInstance]:
+    """count random sentences of one inventory; sentence k takes bias table
+    tables[k % len(tables)], so runs of shared tables and None alternate.
+    Lengths from 1 to 6 put spans at both ends of neighbouring sentences."""
+    inv = make_inventory(3, 3)
+    doc = []
+    for k in range(count):
+        length = int(rng.integers(1, 7))
+        inst = random_instance(
+            rng, length=length, max_width=3, inventory=inv,
+            n_spans=int(rng.integers(0, 8)), n_pairs=int(rng.integers(0, 10)),
+        )
+        doc.append(dataclasses.replace(inst, bias=tables[k % len(tables)]))
+    return doc
+
+
+@pytest.mark.parametrize("algorithm", ["entity_first", "unconstrained"])
+@pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize(
+    "non_overlap, consistency",
+    [(True, True), (False, True), (True, False), (False, False)],
+    ids=["both-rules", "no-overlap-rule", "no-consistency", "no-rules"],
+)
+def test_document_decode_equals_decoding_each_sentence(
+    algorithm, use_bias, non_overlap, consistency
+):
+    """A document decodes at once to what each sentence decodes to alone:
+    the same labels and the same objective, bit for bit, which is
+    structure_score's sum of the chosen terms."""
+    rng = make_rng(31)
+    inv = make_inventory(3, 3)
+    shared, other = random_bias(rng, 4, 4, 0.8), random_bias(rng, 4, 4, 0.8)
+    doc = _document(rng, 60, [shared, shared, None, shared, other, other, other])
+    cons = random_constraints(rng, inv, non_overlap=non_overlap, consistency=consistency)
+    structures = decode(doc, algorithm, cons, use_bias)
+    assert isinstance(structures, list) and len(structures) == len(doc)
+    direct = (entity_first_decode(doc, cons, use_bias) if algorithm == "entity_first"
+              else unconstrained_decode(doc))
+    applied = use_bias and algorithm == "entity_first"
+    for inst, st, same in zip(doc, structures, direct):
+        alone = decode(inst, algorithm, cons, use_bias)
+        assert st == same
+        assert st.entity_labels == alone.entity_labels
+        assert st.relation_labels == alone.relation_labels
+        assert st.score.hex() == alone.score.hex()
+        score = structure_score(inst, st.entity_labels, st.relation_labels, applied)
+        assert st.score.hex() == score.hex()
+    assert any(st.relation_labels and any(st.relation_labels) for st in structures)
+
+
+def test_document_decode_of_a_score_file_equals_decoding_each_sentence():
+    from spanrel.formats import load_score_file
+
+    path = str(Path(__file__).parent / "fixtures" / "golden_score.json")
+    instances = load_score_file(path)[1]
+    cons = ConstraintSet(instances[0].inventory)
+    for algorithm in ALGORITHMS:
+        structures = decode(instances, algorithm, cons)
+        assert structures == [decode(inst, algorithm, cons) for inst in instances]
+
+
+def test_an_empty_document_decodes_to_no_structures():
+    for algorithm in ALGORITHMS:
+        assert decode([], algorithm) == []
+        assert decode(iter(()), algorithm, permissive(make_inventory(1, 1))) == []
+    assert entity_first_decode([], permissive(make_inventory(1, 1))) == []
+    assert unconstrained_decode([]) == []
+
+
+def test_a_document_reports_the_first_non_finite_objective():
+    """decode of a document raises what decoding its sentences in order
+    raises first: an exact search's objective past the float range is
+    reported before a later sentence's search runs out of budget."""
+    inv = make_inventory(1, 1)
+    huge = ScoredInstance(2, ((0, 0), (1, 1)), np.array([[0.0, 1e308], [0.0, 1e308]]),
+                          (), np.zeros((0, 2)), inv)
+    rng = make_rng(32)
+    hard = random_instance(rng, n_spans=6, n_pairs=8, inventory=inv)
+    cons = ConstraintSet(inv, non_overlap=False)
+    for algorithm in ALGORITHMS:
+        with pytest.raises(ValueError, match=f"^{algorithm} objective is inf"):
+            decode([hard, huge, hard], algorithm, cons, budget=10**6)
+    # 3 nodes finish the two-span sentence but not the six-span one
+    with pytest.raises(ValueError, match="^joint objective is inf"):
+        decode([huge, hard], "joint", cons, budget=3)
+    with pytest.raises(BudgetExceededError):
+        decode([hard, huge], "joint", cons, budget=3)

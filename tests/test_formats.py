@@ -3,6 +3,7 @@ and reading and writing that agree with the stdlib json module."""
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -12,6 +13,7 @@ import orjson
 import pytest
 
 import spanrel.cli as cli
+import spanrel.formats as formats
 from spanrel import (
     ConstraintSet,
     FormatError,
@@ -471,3 +473,148 @@ def test_dump_canonical_falls_back_to_the_stdlib_encoder():
     """What orjson cannot encode is written as the stdlib writes it."""
     for doc in ([np.float64(0.1)], [2**64], ["a\ud800"], {"k": -(2**63) - 1}):
         assert dump_canonical(doc) == json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# loading a score file: the collector's pause and one array per logits field
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Wrap module.name so that each call records whether the cyclic
+    collector was on while it ran."""
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((name, gc.isenabled()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The collector's state around a test, set to the parameter; restored after."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+def test_loaders_pause_the_collector_and_restore_it(tmp_path, monkeypatch, collector):
+    """Parsing, validation and building instances run with the collector
+    off; afterwards it is as it was, whether the load succeeded, failed
+    with FormatError, or went through the stdlib reader."""
+    calls = []
+    for name in ("read_json", "read_json_stdlib", "validate_document", "instances_from_score_doc"):
+        _spy(monkeypatch, formats, name, calls)
+    load_score_file(str(FIXTURES / "golden_score.json"))
+    assert gc.isenabled() == collector
+    assert [name for name, _ in calls] == [
+        "read_json", "validate_document", "instances_from_score_doc",
+    ]
+    assert not any(on for _, on in calls)
+
+    calls.clear()
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"sentences": [{"tokens": []}]}')
+    with pytest.raises(FormatError):
+        load_sentences(str(bad))
+    assert gc.isenabled() == collector
+    # A NaN is refused by orjson, read by the stdlib reader, then refused.
+    doc = json.loads((FIXTURES / "golden_score.json").read_text())
+    doc["sentences"][0]["entity_logits"][0][0] = float("nan")
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        load_score_file(str(bad))
+    assert gc.isenabled() == collector
+    # 2**64 is read as a float by orjson, refused, and read again by the stdlib.
+    doc["sentences"][0]["entity_logits"][0][0] = 0.5
+    doc["seed"] = 2**64
+    bad.write_text(json.dumps(doc))
+    assert load_score_file(str(bad))[0]["seed"] == 2**64
+    assert gc.isenabled() == collector
+    assert "read_json_stdlib" in [name for name, _ in calls]
+    assert not any(on for _, on in calls)
+
+
+def test_loading_the_fixture_score_file_makes_no_cyclic_garbage():
+    """A parsed score document and its instances hold no reference cycle,
+    so pausing the collector while they are built leaves nothing for it."""
+    path = str(FIXTURES / "golden_score.json")
+    load_score_file(path)  # schema checkers are built once per process
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        doc, instances = load_score_file(path)
+        assert instances
+        del doc, instances
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def test_score_file_logits_are_read_only_views_of_one_array():
+    """Each logits field is converted once per file; every instance holds a
+    read-only view of it, equal to a conversion of its own rows."""
+    doc = json.loads((FIXTURES / "golden_score.json").read_text())
+    instances = instances_from_score_doc(doc)
+    for field in ("entity_logits", "relation_logits"):
+        grids = [getattr(inst, field) for inst in instances]
+        assert len({id(grid.base) for grid in grids}) == 1
+        for grid, entry in zip(grids, doc["sentences"]):
+            assert not grid.flags.writeable
+            assert grid.tobytes() == np.asarray(entry[field], dtype=np.float64).tobytes()
+    with pytest.raises(ValueError):
+        instances[0].entity_logits[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # one sentence's rows are one entry short: the rest still convert
+        (lambda doc: [row.pop() for row in doc["sentences"][2]["entity_logits"]],
+         "score sentence 2: entity logit grid does not match spans x types"),
+        (lambda doc: doc["sentences"][1]["relation_logits"][0].append(0.5),
+         "score sentence 1: setting an array element with a sequence"),
+        (lambda doc: doc["sentences"][3]["spans"].pop(),
+         "score sentence 3: entity logit grid does not match spans x types"),
+    ],
+)
+def test_a_sentence_whose_logits_do_not_fit_is_named(edit, message):
+    """When the file's rows are not all one width, each sentence is
+    converted and checked on its own, with the message it always had."""
+    doc = json.loads((FIXTURES / "golden_score.json").read_text())
+    edit(doc)
+    with pytest.raises(FormatError) as err:
+        instances_from_score_doc(doc)
+    assert str(err.value).startswith(message)
+
+
+def test_write_json_checks_only_null_literals(tmp_path, monkeypatch):
+    """The stdlib encoder, which refuses NaN and infinities, runs only when
+    orjson's text holds a JSON null, not for "null" inside a word; a string
+    that looks like a null costs the check but is written all the same."""
+    calls = []
+    original = formats._stdlib_canonical
+
+    def spy(doc):
+        calls.append(doc)
+        return original(doc)
+
+    monkeypatch.setattr(formats, "_stdlib_canonical", spy)
+    path = str(tmp_path / "x.json")
+    write_json(path, {"sentences": [{"tokens": ["annulled", "null", "nullify"]}]})
+    assert calls == []
+    assert json.loads(Path(path).read_text())["sentences"][0]["tokens"][1] == "null"
+    for doc in ({"constraints": None}, [None, 1], {"a": [1, None]}, {"t": ["x:null,"]}):
+        calls.clear()
+        write_json(path, doc)
+        assert len(calls) == 1, doc
+        assert json.loads(Path(path).read_text()) == doc
+    for value in (float("nan"), float("inf"), -float("inf")):
+        for doc in (value, [value], {"a": value}, {"a": [1.0, value]}):
+            with pytest.raises(ValueError):
+                dump_canonical(doc)

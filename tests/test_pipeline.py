@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanrel import RunConfig, default_k_span, forward, init_params, valid_span_count
+from spanrel import (
+    RunConfig,
+    default_k_span,
+    forward,
+    forward_batch,
+    init_params,
+    valid_span_count,
+)
 from spanrel.pipeline import normalize_algorithm
 
 from conftest import make_inventory
@@ -121,6 +128,20 @@ def test_run_config_validation():
         RunConfig(seed=-1)
     with pytest.raises(ValueError):
         RunConfig(budget=0)
+
+
+def test_forward_without_a_config_builds_none(small_params, monkeypatch):
+    """forward and forward_batch with no config use one default RunConfig,
+    built at import, and score as an explicit RunConfig() does."""
+    want = forward(TOKENS, small_params, RunConfig())
+    built = []
+    original = RunConfig.__post_init__
+    monkeypatch.setattr(RunConfig, "__post_init__", lambda self: built.append(self) or original(self))
+    got = forward(TOKENS, small_params)
+    forward_batch([TOKENS, TOKENS[:3]], small_params)
+    assert built == []
+    assert got.instance.entity_logits.tobytes() == want.instance.entity_logits.tobytes()
+    assert got.instance.relation_logits.tobytes() == want.instance.relation_logits.tobytes()
 
 
 def test_traced_names_resolve():
