@@ -23,9 +23,8 @@ Weighted interval scheduling is one layout and one DP
 (``_interval_layout``, ``_interval_dp``), shared by entity-first's overlap
 resolution and the search's bound.
 
-Entity-first and unconstrained take a document, a list of instances, and
-run the same few NumPy calls for all its sentences; one instance is a
-document of one.  The exact decoders take one sentence at a time.
+Every decoder takes one sentence; ``decode`` also takes a document, a
+list of instances, and decodes its sentences one at a time.
 
 Tie rules are fixed throughout: argmax ties go to the lower type index,
 the interval DP prefers excluding the later-sorted interval, and every
@@ -54,7 +53,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -154,8 +153,10 @@ class ConstraintSet:
         return bool(self.allowed[head_type, tail_type, relation])
 
 
+@cache
 def unconstrained_constraints(inventory: TypeInventory) -> ConstraintSet:
-    """A constraint set that permits everything."""
+    """The constraint set that permits everything, one per inventory, so
+    its whitelist table is compiled once."""
     return ConstraintSet(inventory, non_overlap=False, consistency=False)
 
 
@@ -330,41 +331,17 @@ def structure_score(
 
 
 # ---------------------------------------------------------------------------
-# documents
-
-
-def _document(
-    instances: ScoredInstance | Iterable[ScoredInstance],
-) -> tuple[list[ScoredInstance], bool]:
-    """instances as a list, and whether they were one ScoredInstance."""
-    if isinstance(instances, ScoredInstance):
-        return [instances], True
-    return instances if isinstance(instances, list) else list(instances), False
-
-
-# ---------------------------------------------------------------------------
 # unconstrained
 
 
-def unconstrained_decode(
-    instances: ScoredInstance | Iterable[ScoredInstance],
-) -> DecodedStructure | list[DecodedStructure]:
+def unconstrained_decode(instance: ScoredInstance) -> DecodedStructure:
     """Row-wise argmax on raw logits; ties go to the lower type index.
 
     Entity-first with no rule and no bias: nothing resolves overlaps,
-    nothing is masked, so every row keeps its own argmax.  Takes one
-    instance or a document of them, as entity_first_decode does.
+    nothing is masked, so every row keeps its own argmax.
     """
-    doc, one = _document(instances)
-    structures = _unconstrained(doc)
-    return structures[0] if one else structures
-
-
-def _unconstrained(doc: list[ScoredInstance]) -> list[DecodedStructure]:
-    """unconstrained_decode of a document."""
-    if not doc:
-        return []
-    return _entity_first_runs(doc, unconstrained_constraints(doc[0].inventory), use_bias=False)
+    constraints = unconstrained_constraints(instance.inventory)
+    return entity_first_decode(instance, constraints, use_bias=False)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +401,10 @@ def max_weight_nonoverlap(
 
 
 def entity_first_decode(
-    instances: ScoredInstance | Iterable[ScoredInstance],
+    instance: ScoredInstance,
     constraints: ConstraintSet,
     use_bias: bool = True,
-) -> DecodedStructure | list[DecodedStructure]:
+) -> DecodedStructure:
     """Entities by score, overlap resolution, then relation argmax.
 
     Step 1: per-span argmax over all entity types; spans whose winner is
@@ -440,99 +417,48 @@ def entity_first_decode(
     -inf, so they lose to any permitted cell however low it scores;
     candidates touching a dropped span stay null.
 
-    instances is one ScoredInstance, decoded to one DecodedStructure, or a
-    document of them, decoded to a list.  A document is decoded at once:
-    step 1 is one argmax over the entity rows of all its sentences, step 3
-    one masked argmax over all their pairs, and only step 2's interval
-    scheduling runs per sentence.  Each structure is what the sentence
-    decoded alone gives, bit for bit.
+    Each step is a few NumPy calls over the whole grid; only the interval
+    scheduling and the objective's sum run in Python.
     """
-    doc, one = _document(instances)
-    structures = _entity_first_runs(doc, constraints, use_bias)
-    return structures[0] if one else structures
-
-
-def _entity_first_runs(
-    doc: list[ScoredInstance], constraints: ConstraintSet, use_bias: bool
-) -> list[DecodedStructure]:
-    """entity_first_decode of a document: each run of sentences that share
-    a bias table, as a score file's all do, is decoded at once."""
-    if len(doc) == 1:
-        return _entity_first(doc, constraints, _applied_bias(doc[0], use_bias))
-    structures: list[DecodedStructure] = []
-    for _, run in itertools.groupby(doc, key=lambda inst: id(inst.bias)):
-        run = list(run)
-        structures += _entity_first(run, constraints, _applied_bias(run[0], use_bias))
-    return structures
-
-
-def _entity_first(
-    doc: list[ScoredInstance], constraints: ConstraintSet, table: np.ndarray | None
-) -> list[DecodedStructure]:
-    """entity_first_decode of a document whose sentences share one bias table.
-
-    The sentences' grids are stacked into one entity grid and one relation
-    grid, so the argmaxes and gathers are the same few NumPy calls for a
-    document of one as for a whole file; only the interval scheduling and
-    the bookkeeping run per sentence, in Python.
-    """
-    if len(doc) == 1:
-        ent, rel = doc[0].entity_logits, doc[0].relation_logits
-    else:
-        ent = np.concatenate([inst.entity_logits for inst in doc])
-        rel = np.concatenate([inst.relation_logits for inst in doc])
+    ent, rel, pairs = instance.entity_logits, instance.relation_logits, instance.pairs
     winners = ent.argmax(axis=1).tolist()
     ent_rows = ent.tolist()
-    ents = [NULL] * len(winners) if constraints.non_overlap else winners
-    ends: list[tuple[int, int]] = []  # each pair's endpoint rows in the grid
-    row = 0
-    for inst in doc:
-        if constraints.non_overlap:
-            live = [i for i in range(row, row + len(inst.spans)) if winners[i] != NULL]
-            pool = [(*inst.spans[i - row], ent_rows[i][winners[i]]) for i in live]
-            for k in max_weight_nonoverlap(pool):
-                ents[live[k]] = winners[live[k]]
-        ends += [(row + h, row + t) for h, t in inst.pairs] if row else inst.pairs
-        row += len(inst.spans)
+    ents = winners
+    if constraints.non_overlap:
+        ents = [NULL] * len(winners)
+        live = [i for i, e in enumerate(winners) if e != NULL]
+        pool = [(*instance.spans[i], ent_rows[i][winners[i]]) for i in live]
+        for k in max_weight_nonoverlap(pool):
+            ents[live[k]] = winners[live[k]]
 
-    typed = [p for p, (h, t) in enumerate(ends) if ents[h] != NULL and ents[t] != NULL]
-    eh = np.array([ents[ends[p][0]] for p in typed], dtype=np.intp)
-    et = np.array([ents[ends[p][1]] for p in typed], dtype=np.intp)
+    typed = [p for p, (h, t) in enumerate(pairs) if ents[h] != NULL and ents[t] != NULL]
+    eh = np.array([ents[pairs[p][0]] for p in typed], dtype=np.intp)
+    et = np.array([ents[pairs[p][1]] for p in typed], dtype=np.intp)
     rows = rel.take(typed, axis=0)
+    table = _applied_bias(instance, use_bias)
     if table is not None:
         bias_rows = table[eh, et]
         rows += bias_rows
     rows[~constraints.allowed[eh, et]] = -np.inf
     chosen = rows.argmax(axis=1).tolist()
-    rels = [NULL] * len(ends) if constraints.consistency else rel.argmax(axis=1).tolist()
+    rels = [NULL] * len(pairs) if constraints.consistency else rel.argmax(axis=1).tolist()
     for p, r in zip(typed, chosen):
         rels[p] = r
 
-    # structure_score's terms, added in its order: each span's chosen
-    # logit, then each pair's chosen logit and, between typed endpoints,
-    # its bias.
-    ent_terms = [logits[e] for logits, e in zip(ent_rows, ents)]
-    rel_terms = [logits[r] for logits, r in zip(rel.tolist(), rels)]
-    biased = [False] * len(rels)
-    bias_terms: Iterator[float] = iter(())
+    # structure_score's sum, in its order: each span's chosen logit, then
+    # each pair's chosen logit and, between typed endpoints, its bias.
+    total = 0.0
+    for logits, e in zip(ent_rows, ents):
+        total += logits[e]
+    bias: list[float | None] = [None] * len(rels)
     if table is not None:
-        for p in typed:
-            biased[p] = True
-        bias_terms = (biases[r] for biases, r in zip(bias_rows.tolist(), chosen))
-    structures = []
-    a = pa = 0
-    for inst in doc:
-        b, pb = a + len(inst.spans), pa + len(inst.pairs)
-        total = 0.0
-        for term in ent_terms[a:b]:
-            total += term
-        for term, has_bias in zip(rel_terms[pa:pb], biased[pa:pb]):
-            total += term
-            if has_bias:
-                total += next(bias_terms)
-        structures.append(DecodedStructure(tuple(ents[a:b]), tuple(rels[pa:pb]), total))
-        a, pa = b, pb
-    return structures
+        for p, biases, r in zip(typed, bias_rows.tolist(), chosen):
+            bias[p] = biases[r]
+    for logits, r, b in zip(rel.tolist(), rels, bias):
+        total += logits[r]
+        if b is not None:
+            total += b
+    return DecodedStructure(tuple(ents), tuple(rels), total)
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +807,8 @@ def decode(
     """Run one decoding algorithm; constraints default to permit-all.
 
     instances is one ScoredInstance, decoded to one DecodedStructure, or a
-    document of them, decoded to a list.  Entity-first and unconstrained
-    decode a document at once (see entity_first_decode); the exact
-    decoders take its sentences one at a time.
+    document of them, decoded to a list one sentence after another, so a
+    document raises what its first failing sentence raises.
 
     Raises ValueError, naming the algorithm, when a structure's objective
     is not finite: finite logits and bias entries can still sum past the
@@ -891,21 +816,29 @@ def decode(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    doc, one = _document(instances)
-    if constraints is None and doc:
-        constraints = unconstrained_constraints(doc[0].inventory)
+    if isinstance(instances, ScoredInstance):
+        return _decode_one(instances, algorithm, constraints, use_bias, budget)
+    return [_decode_one(inst, algorithm, constraints, use_bias, budget) for inst in instances]
+
+
+def _decode_one(
+    instance: ScoredInstance,
+    algorithm: str,
+    constraints: ConstraintSet | None,
+    use_bias: bool,
+    budget: int | None,
+) -> DecodedStructure:
+    """decode of one sentence."""
+    if constraints is None:
+        constraints = unconstrained_constraints(instance.inventory)
     if algorithm == "unconstrained":
-        structures = _unconstrained(doc)
+        structure = unconstrained_decode(instance)
     elif algorithm == "entity_first":
-        structures = _entity_first_runs(doc, constraints, use_bias)
-    else:  # lazily, so each objective is checked before the next search
-        search = joint_decode if algorithm == "joint" else relation_first_decode
-        structures = (search(inst, constraints, use_bias, budget) for inst in doc)
-    structures = [_finite(structure, algorithm) for structure in structures]
-    return structures[0] if one else structures
-
-
-def _finite(structure: DecodedStructure, algorithm: str) -> DecodedStructure:
+        structure = entity_first_decode(instance, constraints, use_bias)
+    elif algorithm == "joint":
+        structure = joint_decode(instance, constraints, use_bias, budget)
+    else:
+        structure = relation_first_decode(instance, constraints, use_bias, budget)
     if not math.isfinite(structure.score):
         raise ValueError(
             f"{algorithm} objective is {structure.score!r}: the logits and bias "

@@ -751,6 +751,24 @@ def test_unconstrained_constraints_permit_everything():
                 assert cons.allows(eh, et, r)
 
 
+def test_the_permit_all_set_is_built_once_per_inventory():
+    """unconstrained_constraints returns one set per inventory, so a decode
+    given no constraint set reuses its compiled whitelist instead of
+    building and compiling a new set per sentence."""
+    inst = random_instance(make_rng(33), inventory=make_inventory(2, 3))
+    cons = unconstrained_constraints(inst.inventory)
+    assert unconstrained_constraints(make_inventory(2, 3)) is cons
+    unconstrained_constraints.cache_clear()
+    first = decode(inst, "unconstrained")
+    cons = unconstrained_constraints(inst.inventory)
+    allowed = vars(cons)["allowed"]  # compiled by the first decode
+    misses = unconstrained_constraints.cache_info().misses
+    assert decode(inst, "unconstrained") == first
+    decode([inst, inst], "entity_first")
+    assert unconstrained_constraints.cache_info().misses == misses == 1
+    assert unconstrained_constraints(inst.inventory).allowed is allowed
+
+
 def test_decode_refuses_a_non_finite_objective():
     """A finite 1e308 bias entry makes joint's objective overflow; decode()
     raises instead of returning inf, and no algorithm returns a non-finite
@@ -797,7 +815,16 @@ def _document(rng, count: int, tables: list) -> list[ScoredInstance]:
     return doc
 
 
-@pytest.mark.parametrize("algorithm", ["entity_first", "unconstrained"])
+# each algorithm's single-sentence function, called as decode calls it
+ALONE = {
+    "unconstrained": lambda inst, cons, use_bias: unconstrained_decode(inst),
+    "entity_first": entity_first_decode,
+    "joint": joint_decode,
+    "relation_first": relation_first_decode,
+}
+
+
+@pytest.mark.parametrize("algorithm", ["entity_first", "unconstrained", "joint", "relation_first"])
 @pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no-bias"])
 @pytest.mark.parametrize(
     "non_overlap, consistency",
@@ -807,9 +834,11 @@ def _document(rng, count: int, tables: list) -> list[ScoredInstance]:
 def test_document_decode_equals_decoding_each_sentence(
     algorithm, use_bias, non_overlap, consistency
 ):
-    """A document decodes at once to what each sentence decodes to alone:
-    the same labels and the same objective, bit for bit, which is
-    structure_score's sum of the chosen terms."""
+    """A document decodes to what each sentence decodes to alone, whatever
+    bias table each sentence carries: the same labels and the same
+    objective, bit for bit.  Except for joint, whose search adds the terms
+    in its own order, that objective is structure_score's sum of the
+    chosen terms."""
     rng = make_rng(31)
     inv = make_inventory(3, 3)
     shared, other = random_bias(rng, 4, 4, 0.8), random_bias(rng, 4, 4, 0.8)
@@ -817,17 +846,19 @@ def test_document_decode_equals_decoding_each_sentence(
     cons = random_constraints(rng, inv, non_overlap=non_overlap, consistency=consistency)
     structures = decode(doc, algorithm, cons, use_bias)
     assert isinstance(structures, list) and len(structures) == len(doc)
-    direct = (entity_first_decode(doc, cons, use_bias) if algorithm == "entity_first"
-              else unconstrained_decode(doc))
-    applied = use_bias and algorithm == "entity_first"
-    for inst, st, same in zip(doc, structures, direct):
+    assert decode(iter(doc), algorithm, cons, use_bias) == structures
+    applied = use_bias and algorithm != "unconstrained"
+    for inst, st in zip(doc, structures):
         alone = decode(inst, algorithm, cons, use_bias)
-        assert st == same
+        assert st == ALONE[algorithm](inst, cons, use_bias)
         assert st.entity_labels == alone.entity_labels
         assert st.relation_labels == alone.relation_labels
         assert st.score.hex() == alone.score.hex()
         score = structure_score(inst, st.entity_labels, st.relation_labels, applied)
-        assert st.score.hex() == score.hex()
+        if algorithm == "joint":
+            assert st.score == pytest.approx(score, rel=1e-12, abs=1e-12)
+        else:
+            assert st.score.hex() == score.hex()
     assert any(st.relation_labels and any(st.relation_labels) for st in structures)
 
 
@@ -846,8 +877,8 @@ def test_an_empty_document_decodes_to_no_structures():
     for algorithm in ALGORITHMS:
         assert decode([], algorithm) == []
         assert decode(iter(()), algorithm, permissive(make_inventory(1, 1))) == []
-    assert entity_first_decode([], permissive(make_inventory(1, 1))) == []
-    assert unconstrained_decode([]) == []
+    assert decode([], "entity_first", permissive(make_inventory(1, 1)), False) == []
+    assert decode(iter(()), "unconstrained", use_bias=False) == []
 
 
 def test_a_document_reports_the_first_non_finite_objective():
