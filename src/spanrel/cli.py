@@ -121,16 +121,15 @@ def cmd_decode(args: argparse.Namespace) -> int:
     algorithm = config.algorithm
     constraints = _constraints(args.constraints, instances)
     use_bias = config.use_bias and algorithm != "unconstrained"
-    try:
-        structures = [
-            decode(inst, algorithm, constraints, use_bias, config.budget)
-            for inst in instances
-        ]
-    except ValueError as exc:  # an objective past the float64 range
-        raise FormatError(f"{args.output} not written: {exc}") from exc
-    doc = structure_document(
-        instances, structures, algorithm, use_bias, args.constraints
-    )
+    structures = []
+    for pos, inst in enumerate(instances):  # the first sentence to fail is named
+        try:
+            structures.append(decode(inst, algorithm, constraints, use_bias, config.budget))
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"sentence {pos}: {exc}") from exc
+        except ValueError as exc:  # an objective past the float64 range
+            raise FormatError(f"{args.output} not written: sentence {pos}: {exc}") from exc
+    doc = structure_document(instances, structures, algorithm, use_bias, args.constraints)
     write_json(args.output, doc)
     return 0
 

@@ -23,8 +23,8 @@ Weighted interval scheduling is one layout and one DP
 (``_interval_layout``, ``_interval_dp``), shared by entity-first's overlap
 resolution and the search's bound.
 
-Every decoder takes one sentence; ``decode`` also takes a document, a
-list of instances, and decodes its sentences one at a time.
+Every decoder, ``decode`` included, takes one sentence; a caller with
+many decodes them one at a time, as ``spanrel decode`` does.
 
 Tie rules are fixed throughout: argmax ties go to the lower type index,
 the interval DP prefers excluding the later-sorted interval, and every
@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -798,37 +798,20 @@ def relation_first_decode(
 
 
 def decode(
-    instances: ScoredInstance | Iterable[ScoredInstance],
+    instance: ScoredInstance,
     algorithm: str,
     constraints: ConstraintSet | None = None,
     use_bias: bool = True,
     budget: int | None = None,
-) -> DecodedStructure | list[DecodedStructure]:
-    """Run one decoding algorithm; constraints default to permit-all.
+) -> DecodedStructure:
+    """Decode one sentence by one algorithm; constraints default to permit-all.
 
-    instances is one ScoredInstance, decoded to one DecodedStructure, or a
-    document of them, decoded to a list one sentence after another, so a
-    document raises what its first failing sentence raises.
-
-    Raises ValueError, naming the algorithm, when a structure's objective
+    Raises ValueError, naming the algorithm, when the structure's objective
     is not finite: finite logits and bias entries can still sum past the
     float64 range.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    if isinstance(instances, ScoredInstance):
-        return _decode_one(instances, algorithm, constraints, use_bias, budget)
-    return [_decode_one(inst, algorithm, constraints, use_bias, budget) for inst in instances]
-
-
-def _decode_one(
-    instance: ScoredInstance,
-    algorithm: str,
-    constraints: ConstraintSet | None,
-    use_bias: bool,
-    budget: int | None,
-) -> DecodedStructure:
-    """decode of one sentence."""
     if constraints is None:
         constraints = unconstrained_constraints(instance.inventory)
     if algorithm == "unconstrained":

@@ -1,12 +1,12 @@
 """Filter-and-refine: prune candidates to the top K by a learned ranking
 score, then enrich the survivors.
 
-Candidates come as an (N, D) matrix or as a CandidateGrid, whose N cells
-are ranked through the factored first layer of the ranking feed-forward
-without being built; only the kept rows ever are.  Either way the score's
-last layer is numerics.scalar_head, which gives equal rows equal scores,
-so ties go to the lower index as top_k_select promises.  The valid mask
-is applied once, in ranking_scores.
+Candidates come as a CandidateGrid, whose N cells are ranked through the
+factored first layer of the ranking feed-forward without being built; only
+the kept rows ever are.  The score's last layer is numerics.scalar_head,
+which gives equal rows equal scores, so ties go to the lower index as
+top_k_select promises; it also selects rows of a plain (N, D) matrix.  The
+valid mask is applied once, in ranking_scores.
 
 The refine step runs two attention blocks in order: a cross-attention pass
 over the token embeddings (the survivors read from the sentence) and a
@@ -31,10 +31,7 @@ from .numerics import (
     AttentionWeights,
     FeedForwardParams,
     feed_forward,
-    linear,
     multi_head_attention,
-    relu,
-    scalar_head,
     unstack,
 )
 from .representation import CandidateGrid
@@ -64,19 +61,12 @@ class FilterResult:
 
 
 def ranking_scores(
-    z: np.ndarray | CandidateGrid,
+    z: CandidateGrid,
     filter_params: FeedForwardParams,
     valid: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scalar ranking score per candidate; invalid candidates get the sentinel."""
-    if isinstance(z, CandidateGrid):
-        scores = z.rank(filter_params)
-    else:
-        z = np.asarray(z, dtype=np.float64)
-        if z.ndim != 2 or z.shape[0] < 1:
-            raise ValueError("need at least one candidate representation")
-        hidden = relu(linear(z, filter_params.w1, filter_params.b1))
-        scores = scalar_head(hidden, filter_params) + filter_params.b2[0]
+    """Scalar ranking score per grid cell; invalid cells get the sentinel."""
+    scores = z.rank(filter_params)
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
         if valid.shape != scores.shape:
@@ -141,7 +131,7 @@ def process(
 
 
 def filter_and_refine(
-    z: np.ndarray | CandidateGrid,
+    z: CandidateGrid,
     tokens: np.ndarray,
     k: int,
     filter_params: FeedForwardParams,

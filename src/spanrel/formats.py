@@ -484,14 +484,12 @@ def _score_entry(result: ForwardResult) -> dict:
 def score_document(results: Iterable, seed: int) -> dict:
     """Pack forward results (all from the same params) into one document.
 
-    results are ForwardResults in sentence order, or (input position,
-    ForwardResult) pairs in any order, as pipeline.forward_stacks yields
-    them.  Each is packed as it is yielded, so a generator of forward
-    passes need not hold them all."""
+    results are (input position, ForwardResult) pairs in any order, as
+    pipeline.forward_stacks yields them; enumerate a list of results in
+    sentence order.  Each is packed as it is yielded, so a generator of
+    forward passes need not hold them all."""
     entries: dict[int, dict] = {}
-    for pos, result in enumerate(results):
-        if isinstance(result, tuple):
-            pos, result = result
+    for pos, result in results:
         entries[pos] = _score_entry(result)
     if not entries:
         raise ValueError("need at least one scored sentence")

@@ -9,9 +9,9 @@ their L*M and K*K rows are ranked without being built, and only the kept
 ones are.  Pure function of (tokens, params, config):
 identical inputs give bit-identical outputs.
 
-Sentences are scored in stacks of equal length, every stage once per stack
-on a leading axis; every product keeps one sentence's shape, so a sentence
-gets the same bits in any stack as alone, or as forward's stack of one."""
+forward scores one sentence, forward_stacks many in stacks of equal length,
+every stage once per stack on a leading axis; every product keeps one
+sentence's shape, so a sentence gets the same bits in any stack as alone."""
 
 from __future__ import annotations
 
@@ -130,16 +130,8 @@ def default_k_span(length: int, max_span_width: int) -> int:
 def forward(
     tokens: Sequence[str], params: ModelParams, config: RunConfig | None = None
 ) -> ForwardResult:
-    """Score one sentence as forward_batch([tokens], params, config)[0] does."""
+    """Score one sentence as forward_stacks scores it, as a stack of one."""
     return _forward_stack([_checked(tokens)], params, config or _DEFAULT_CONFIG)[0]
-
-
-def forward_batch(
-    sentences: Sequence[Sequence[str]], params: ModelParams, config: RunConfig | None = None
-) -> list[ForwardResult]:
-    """forward of each sentence, in input order, scored as forward_stacks does."""
-    results = dict(forward_stacks(sentences, params, config))
-    return [results[pos] for pos in range(len(sentences))]
 
 
 def forward_stacks(
@@ -219,7 +211,6 @@ __all__ = [
     "RunConfig",
     "default_k_span",
     "forward",
-    "forward_batch",
     "forward_stacks",
     "normalize_algorithm",
 ]

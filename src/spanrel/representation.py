@@ -107,6 +107,8 @@ def encode_tokens(tokens, dim: int, seed: int = 0) -> np.ndarray:
         raise ValueError("token list must be non-empty")
     if dim < 1:
         raise ValueError("dim must be positive")
+    if not -(10**63) < seed < 10**64:  # str(seed) keys the hash: 64 bytes at most
+        raise ValueError("seed must be at most 64 characters long: it keys the token hash")
     # np.array copies, so callers never hold the cached (read-only) rows.
     return np.array([_token_vector(tok, dim, seed) for tok in tokens])
 

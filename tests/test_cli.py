@@ -24,7 +24,11 @@ import pytest
 
 import spanrel.cli as cli
 from spanrel import (
+    ALGORITHMS,
+    BudgetExceededError,
+    ConstraintSet,
     RunConfig,
+    decode,
     forward,
     init_params,
     load_constraint_set,
@@ -181,7 +185,8 @@ def test_score_writes_each_sentence_at_its_input_position(tmp_path):
     params = params_from_json(read_json(PARAMS))
     config = RunConfig(seed=3, depth=2)
     want = tmp_path / "want.json"
-    write_json(str(want), score_document([forward(t, params, config) for t in sentences], 3))
+    results = enumerate(forward(t, params, config) for t in sentences)
+    write_json(str(want), score_document(results, 3))
     assert out.read_bytes() == want.read_bytes()
 
 
@@ -485,6 +490,60 @@ def test_overflowing_objective_is_not_written(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "not written" in proc.stderr
     assert not out.exists()
+
+
+def _first_failure(instances, algorithm, constraints, budget=None):
+    """Position of the first sentence whose decode alone raises, else None."""
+    for pos, inst in enumerate(instances):
+        try:
+            decode(inst, algorithm, constraints, budget=budget)
+        except (BudgetExceededError, ValueError):
+            return pos
+    return None
+
+
+def test_decode_names_the_first_sentence_that_fails(tmp_path, capsys):
+    """An overflowing objective (exit 2) and a search past its budget
+    (exit 3) name the first sentence, in file order, whose decode alone
+    fails; no structure file is written."""
+    doc = json.loads(Path(GOLDEN_SCORE).read_text())
+    doc["bias"]["joint"][1][1][0] = 1e308
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps(doc))
+    instances = load_score_file(str(scores))[1]
+    out = tmp_path / "o.json"
+    failed = 0
+    for algorithm in ALGORITHMS:
+        pos = _first_failure(instances, algorithm, ConstraintSet(instances[0].inventory))
+        code = cli.main(["decode", str(scores), "-o", str(out), "--algorithm", algorithm])
+        err = capsys.readouterr().err
+        if pos is None:
+            assert code == 0, err
+            out.unlink()
+            continue
+        failed += 1
+        assert code == 2
+        assert err.startswith(f"error: {out} not written: sentence {pos}: {algorithm} objective")
+        assert not out.exists()
+    assert failed
+    conll04 = load_constraint_set("conll04")
+    pos = _first_failure(load_score_file(GOLDEN_SCORE)[1], "joint", conll04, budget=1)
+    args = ["decode", GOLDEN_SCORE, "-o", str(out), "--algorithm", "joint"]
+    assert cli.main([*args, "--constraints", "conll04", "--budget", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: sentence {pos}: joint search expanded more than 1 nodes\n"
+    assert not out.exists()
+
+
+def test_a_seed_too_long_to_key_the_token_hash_is_named(tmp_path, capsys):
+    """The token hash is keyed by the seed's decimal digits, 64 at most: a
+    longer seed exits 2 naming the seed, and a 64-digit one scores."""
+    out = tmp_path / "s.json"
+    assert cli.main(["score", SENTENCES, PARAMS, "-o", str(out), "--seed", str(10**64)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed ") and "64" in err
+    assert not out.exists()
+    assert cli.main(["score", SENTENCES, PARAMS, "-o", str(out), "--seed", str(10**64 - 1)]) == 0
 
 
 def test_non_finite_params_exit_2(tmp_path):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -764,7 +763,8 @@ def test_the_permit_all_set_is_built_once_per_inventory():
     allowed = vars(cons)["allowed"]  # compiled by the first decode
     misses = unconstrained_constraints.cache_info().misses
     assert decode(inst, "unconstrained") == first
-    decode([inst, inst], "entity_first")
+    decode(inst, "entity_first")
+    decode(inst, "entity_first")
     assert unconstrained_constraints.cache_info().misses == misses == 1
     assert unconstrained_constraints(inst.inventory).allowed is allowed
 
@@ -834,57 +834,38 @@ ALONE = {
 def test_document_decode_equals_decoding_each_sentence(
     algorithm, use_bias, non_overlap, consistency
 ):
-    """A document decodes to what each sentence decodes to alone, whatever
-    bias table each sentence carries: the same labels and the same
-    objective, bit for bit.  Except for joint, whose search adds the terms
-    in its own order, that objective is structure_score's sum of the
-    chosen terms."""
+    """Each sentence of a document, decoded one decode call at a time as
+    spanrel decode does, decodes to what its algorithm's own function
+    gives, whatever bias table the sentence carries: the same labels and
+    the same objective, bit for bit.  Except for joint, whose search adds
+    the terms in its own order, that objective is structure_score's sum of
+    the chosen terms."""
     rng = make_rng(31)
     inv = make_inventory(3, 3)
     shared, other = random_bias(rng, 4, 4, 0.8), random_bias(rng, 4, 4, 0.8)
     doc = _document(rng, 60, [shared, shared, None, shared, other, other, other])
     cons = random_constraints(rng, inv, non_overlap=non_overlap, consistency=consistency)
-    structures = decode(doc, algorithm, cons, use_bias)
-    assert isinstance(structures, list) and len(structures) == len(doc)
-    assert decode(iter(doc), algorithm, cons, use_bias) == structures
     applied = use_bias and algorithm != "unconstrained"
-    for inst, st in zip(doc, structures):
-        alone = decode(inst, algorithm, cons, use_bias)
-        assert st == ALONE[algorithm](inst, cons, use_bias)
-        assert st.entity_labels == alone.entity_labels
-        assert st.relation_labels == alone.relation_labels
+    structures = []
+    for inst in doc:
+        st = decode(inst, algorithm, cons, use_bias)
+        alone = ALONE[algorithm](inst, cons, use_bias)
+        assert st == alone
         assert st.score.hex() == alone.score.hex()
         score = structure_score(inst, st.entity_labels, st.relation_labels, applied)
         if algorithm == "joint":
             assert st.score == pytest.approx(score, rel=1e-12, abs=1e-12)
         else:
             assert st.score.hex() == score.hex()
+        structures.append(st)
     assert any(st.relation_labels and any(st.relation_labels) for st in structures)
 
 
-def test_document_decode_of_a_score_file_equals_decoding_each_sentence():
-    from spanrel.formats import load_score_file
-
-    path = str(Path(__file__).parent / "fixtures" / "golden_score.json")
-    instances = load_score_file(path)[1]
-    cons = ConstraintSet(instances[0].inventory)
-    for algorithm in ALGORITHMS:
-        structures = decode(instances, algorithm, cons)
-        assert structures == [decode(inst, algorithm, cons) for inst in instances]
-
-
-def test_an_empty_document_decodes_to_no_structures():
-    for algorithm in ALGORITHMS:
-        assert decode([], algorithm) == []
-        assert decode(iter(()), algorithm, permissive(make_inventory(1, 1))) == []
-    assert decode([], "entity_first", permissive(make_inventory(1, 1)), False) == []
-    assert decode(iter(()), "unconstrained", use_bias=False) == []
-
-
 def test_a_document_reports_the_first_non_finite_objective():
-    """decode of a document raises what decoding its sentences in order
-    raises first: an exact search's objective past the float range is
-    reported before a later sentence's search runs out of budget."""
+    """The sentence facts spanrel decode's report of a document's first
+    failure rests on: an objective past the float range raises under every
+    algorithm and any budget that finishes the search, and a search that
+    runs out of budget raises BudgetExceededError instead."""
     inv = make_inventory(1, 1)
     huge = ScoredInstance(2, ((0, 0), (1, 1)), np.array([[0.0, 1e308], [0.0, 1e308]]),
                           (), np.zeros((0, 2)), inv)
@@ -893,9 +874,10 @@ def test_a_document_reports_the_first_non_finite_objective():
     cons = ConstraintSet(inv, non_overlap=False)
     for algorithm in ALGORITHMS:
         with pytest.raises(ValueError, match=f"^{algorithm} objective is inf"):
-            decode([hard, huge, hard], algorithm, cons, budget=10**6)
+            decode(huge, algorithm, cons, budget=10**6)
+        assert np.isfinite(decode(hard, algorithm, cons, budget=10**6).score)
     # 3 nodes finish the two-span sentence but not the six-span one
     with pytest.raises(ValueError, match="^joint objective is inf"):
-        decode([huge, hard], "joint", cons, budget=3)
+        decode(huge, "joint", cons, budget=3)
     with pytest.raises(BudgetExceededError):
-        decode([hard, huge], "joint", cons, budget=3)
+        decode(hard, "joint", cons, budget=3)

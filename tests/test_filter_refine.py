@@ -9,12 +9,14 @@ from spanrel import (
     NEG_SENTINEL,
     AttentionWeights,
     FeedForwardParams,
+    feed_forward,
     filter_and_refine,
     make_rng,
     ranking_scores,
     top_k_select,
 )
 from spanrel.filter_refine import process, read
+from spanrel.representation import CandidateGrid
 
 
 def oracle_top_k(scores, k):
@@ -22,6 +24,13 @@ def oracle_top_k(scores, k):
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     valid = [i for i in order if scores[i] > NEG_SENTINEL]
     return tuple(sorted(valid[:k]))
+
+
+def _grid(z, valid=None):
+    """The rows of an (N, D) matrix as a one-column CandidateGrid: cell a is
+    z[a] plus one zero tail row."""
+    valid = np.ones(len(z), dtype=bool) if valid is None else valid
+    return CandidateGrid(z, np.zeros((1, z.shape[1])), 1, 0, valid)
 
 
 def _ffn(rng, d_in, hidden, d_out):
@@ -47,16 +56,15 @@ def test_ranking_scores_masking():
     rng = make_rng(0)
     f = _ffn(rng, 4, 8, 1)
     z = rng.normal(size=(5, 4))
-    scores = ranking_scores(z, f)
+    scores = ranking_scores(_grid(z), f)
     assert scores.shape == (5,)
+    assert np.allclose(scores, feed_forward(z, f)[:, 0], rtol=0, atol=1e-12)
     valid = np.array([True, False, True, True, False])
-    masked = ranking_scores(z, f, valid)
+    masked = ranking_scores(_grid(z, valid), f, valid)
     assert np.array_equal(masked[valid], scores[valid])
     assert (masked[~valid] == NEG_SENTINEL).all()
     with pytest.raises(ValueError):
-        ranking_scores(np.zeros((0, 4)), f)
-    with pytest.raises(ValueError):
-        ranking_scores(z, f, np.array([True, False]))
+        ranking_scores(_grid(z), f, np.array([True, False]))
 
 
 def test_top_k_matches_oracle_random():
@@ -149,7 +157,7 @@ def test_filter_and_refine_end_to_end():
     tokens = rng.normal(size=(5, dim))
     valid = np.ones(10, dtype=bool)
     valid[[2, 7]] = False
-    result = filter_and_refine(z, tokens, 4, f, rd, pa, pf, valid=valid)
+    result = filter_and_refine(_grid(z, valid), tokens, 4, f, rd, pa, pf, valid=valid)
     assert len(result.kept_indices) == 4
     assert not_set_overlap(result.kept_indices, (2, 7))
     assert result.read_attention is not None
@@ -173,11 +181,11 @@ def test_filter_and_refine_depth_zero_and_two():
     pf = _ffn(rng, dim, 8, dim)
     z = rng.normal(size=(6, dim))
     tokens = rng.normal(size=(4, dim))
-    raw = filter_and_refine(z, tokens, 3, f, rd, pa, pf, depth=0)
+    raw = filter_and_refine(_grid(z), tokens, 3, f, rd, pa, pf, depth=0)
     assert raw.read_attention is None
     assert np.array_equal(raw.representations, z[list(raw.kept_indices)])
-    once = filter_and_refine(z, tokens, 3, f, rd, pa, pf, depth=1)
-    twice = filter_and_refine(z, tokens, 3, f, rd, pa, pf, depth=2)
+    once = filter_and_refine(_grid(z), tokens, 3, f, rd, pa, pf, depth=1)
+    twice = filter_and_refine(_grid(z), tokens, 3, f, rd, pa, pf, depth=2)
     assert once.kept_indices == twice.kept_indices
     assert not np.allclose(once.representations, twice.representations)
     # depth 2 equals refining the depth-1 output once more
@@ -194,9 +202,8 @@ def test_filter_and_refine_nothing_survives():
     pf = _ffn(rng, dim, 8, dim)
     z = rng.normal(size=(3, dim))
     tokens = rng.normal(size=(4, dim))
-    result = filter_and_refine(
-        z, tokens, 2, f, rd, pa, pf, valid=np.zeros(3, dtype=bool)
-    )
+    invalid = np.zeros(3, dtype=bool)
+    result = filter_and_refine(_grid(z, invalid), tokens, 2, f, rd, pa, pf, valid=invalid)
     assert result.kept_indices == ()
     assert result.representations.shape == (0, dim)
     assert result.read_attention is None

@@ -151,7 +151,7 @@ def test_sentences_roundtrip(tmp_path):
 
 
 def test_score_document_roundtrip(tmp_path, scored):
-    doc = score_document(scored, seed=0)
+    doc = score_document(enumerate(scored), seed=0)
     validate_document(doc, "score")
     path = tmp_path / "scores.json"
     write_json(str(path), doc)
@@ -171,9 +171,10 @@ def test_score_document_roundtrip(tmp_path, scored):
 
 
 def test_score_document_packs_any_iterable(scored):
-    """A generator packs like a list; version 2 holds no ranking vectors."""
-    doc = score_document(iter(scored), seed=0)
-    assert doc == score_document(scored, seed=0)
+    """Pairs in any order pack at their input positions, a generator like a
+    list; version 2 holds no ranking vectors."""
+    doc = score_document(enumerate(scored), seed=0)
+    assert doc == score_document(list(enumerate(scored))[::-1], seed=0)
     assert doc["version"] == 2
     for entry, result in zip(doc["sentences"], scored):
         assert "span_ranking_scores" not in entry and "pair_ranking_scores" not in entry
@@ -184,7 +185,7 @@ def test_score_document_packs_any_iterable(scored):
 
 
 def test_score_document_rejects_bad_entries(scored):
-    doc = score_document(scored, seed=0)
+    doc = score_document(enumerate(scored), seed=0)
     bad = json.loads(dump_canonical(doc))
     bad["sentences"][0]["spans"][0] = [0, 99]
     validate_document(bad, "score")  # schema cannot see the length bound

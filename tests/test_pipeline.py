@@ -18,7 +18,7 @@ from spanrel import (
     RunConfig,
     default_k_span,
     forward,
-    forward_batch,
+    forward_stacks,
     init_params,
     valid_span_count,
 )
@@ -133,14 +133,14 @@ def test_run_config_validation():
 
 
 def test_forward_without_a_config_builds_none(small_params, monkeypatch):
-    """forward and forward_batch with no config use one default RunConfig,
+    """forward and forward_stacks with no config use one default RunConfig,
     built at import, and score as an explicit RunConfig() does."""
     want = forward(TOKENS, small_params, RunConfig())
     built = []
     original = RunConfig.__post_init__
     monkeypatch.setattr(RunConfig, "__post_init__", lambda self: built.append(self) or original(self))
     got = forward(TOKENS, small_params)
-    forward_batch([TOKENS, TOKENS[:3]], small_params)
+    list(forward_stacks([TOKENS, TOKENS[:3]], small_params))
     assert built == []
     assert got.instance.entity_logits.tobytes() == want.instance.entity_logits.tobytes()
     assert got.instance.relation_logits.tobytes() == want.instance.relation_logits.tobytes()
@@ -251,6 +251,14 @@ def _mixed_sentences(seed: int) -> list[tuple[str, ...]]:
 
 pipeline = importlib.import_module("spanrel.pipeline")
 
+
+def _in_order(sentences, params, config=None):
+    """forward_stacks' results ordered by input position, one per sentence."""
+    results = dict(forward_stacks(sentences, params, config))
+    assert sorted(results) == list(range(len(sentences)))
+    return [results[pos] for pos in range(len(sentences))]
+
+
 STACK_CONFIGS = {
     "default": RunConfig(),
     "depth2": RunConfig(depth=2),
@@ -261,10 +269,9 @@ STACK_CONFIGS = {
 @pytest.mark.parametrize("config", STACK_CONFIGS.values(), ids=STACK_CONFIGS.keys())
 def test_forward_batch_matches_forward_one_sentence_at_a_time(small_params, config):
     """Stacks of equal lengths score every sentence bit for bit as forward
-    alone does, and hand the results back in input order."""
+    alone does, each handed back once under its input position."""
     sentences = _mixed_sentences(4)
-    got = pipeline.forward_batch(sentences, small_params, config)
-    assert len(got) == len(sentences)
+    got = _in_order(sentences, small_params, config)
     for pos, (tokens, result) in enumerate(zip(sentences, got)):
         _assert_same(result, forward(tokens, small_params, config), f"sentence {pos}")
 
@@ -285,8 +292,8 @@ def test_a_stack_whose_kept_counts_differ_matches_forward(small_params, level):
         except ValueError as exc:
             assert str(exc) == "need at least one span representation"
             with pytest.raises(ValueError, match=str(exc)):
-                pipeline.forward_batch([tokens, *sentences], params)
-    got = pipeline.forward_batch(sentences, params)
+                list(forward_stacks([tokens, *sentences], params))
+    got = _in_order(sentences, params)
     kept = {}
     for pos, (tokens, result) in enumerate(zip(sentences, got)):
         _assert_same(result, alone[pos], f"sentence {pos}")
@@ -296,7 +303,7 @@ def test_a_stack_whose_kept_counts_differ_matches_forward(small_params, level):
 
 
 def test_forward_batch_results_share_no_memory(small_params):
-    got = pipeline.forward_batch(_mixed_sentences(6), small_params, RunConfig(depth=2))
+    got = _in_order(_mixed_sentences(6), small_params, RunConfig(depth=2))
     arrays = [(pos, a) for pos, result in enumerate(got) for a in _arrays(result).values()]
     for i, (pos, a) in enumerate(arrays):
         for other, b in arrays[i + 1 :]:
@@ -306,8 +313,8 @@ def test_forward_batch_results_share_no_memory(small_params):
 
 def test_forward_batch_checks_every_sentence(small_params):
     with pytest.raises(ValueError, match="non-empty strings"):
-        pipeline.forward_batch([("ok",), ("fine", "")], small_params)
-    assert pipeline.forward_batch([], small_params) == []
+        next(forward_stacks([("ok",), ("fine", "")], small_params))
+    assert list(forward_stacks([], small_params)) == []
 
 
 def test_forward_stacks_scores_equal_lengths_together_shortest_first(small_params, monkeypatch):
