@@ -26,7 +26,6 @@ from importlib import resources
 from itertools import accumulate, chain
 from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 import orjson
 
@@ -49,7 +48,7 @@ class FormatError(ValueError):
 
 
 _schemas: dict[str, dict] = {}
-# Per schema: a validator of it with every local "$ref" inlined.
+# Per schema: a jsonschema validator of its inlined schema, built for refusals.
 _checkers: dict[str, object] = {}
 
 
@@ -66,48 +65,24 @@ def load_schema(name: str) -> dict:
     return _schemas[name]
 
 
-_PLAIN_TYPE = jsonschema.Draft202012Validator.VALIDATORS["type"]
-_PLAIN_ITEMS = jsonschema.Draft202012Validator.VALIDATORS["items"]
-
-
-def _strict_type(validator, types, instance, schema):
-    """The "type" keyword plus two rules of the formats: every number is
-    finite as a 64-bit float, and an integer has no decimal point."""
-    kind = type(instance)
-    types = [types] if isinstance(types, str) else types
-    if kind is float or (kind is int and "number" in types):
-        try:
-            finite = math.isfinite(instance)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
-            return
-    if kind is float and "integer" in types and "number" not in types:
-        yield jsonschema.ValidationError(f"{instance!r} is not of type 'integer'")
-        return
-    yield from _PLAIN_TYPE(validator, types, instance, schema)
-
-
-_StrictValidator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator, {"type": _strict_type}
-)
-
-
 class _Scalar(NamedTuple):
-    """A scalar schema: the exact Python types allowed, and its bounds."""
+    """A scalar schema: the exact Python types allowed, its bounds, and for
+    "const" and "enum" the (type, value) pairs it admits."""
 
     types: frozenset
     minimum: float | None
     min_length: int  # strings only
+    choices: frozenset | None = None
 
 
 class _Record(NamedTuple):
     """An object schema whose properties all have specs.  Other keys are
-    allowed, as the schema allows them."""
+    allowed, as the schema allows them, unless it is closed
+    ("additionalProperties": false)."""
 
     required: tuple[str, ...]
-    fields: dict[str, _Scalar | _Record | _LeafArray]
+    fields: dict[str, _Spec]
+    closed: bool
 
 
 class _LeafArray(NamedTuple):
@@ -116,28 +91,60 @@ class _LeafArray(NamedTuple):
 
     min_items: int
     max_items: int | None
-    item: _Scalar | _Record | _LeafArray
+    item: _Spec
 
+
+class _OrNull(NamedTuple):
+    """A type union of null and the one other type of spec."""
+
+    spec: _Spec
+
+
+_Spec = _Scalar | _Record | _LeafArray | _OrNull
 
 # The spec of each leaf-array node of the checkers' schemas, by the node's
 # identity, beside the node, which keeps that identity from being reused.
 _leaf_arrays: dict[int, tuple[dict, _LeafArray]] = {}
 
 _ANNOTATIONS = {"$schema", "$id", "$defs", "title", "description", "default"}
-_OBJECT_KEYS = _ANNOTATIONS | {"type", "properties", "required"}
+_OBJECT_KEYS = _ANNOTATIONS | {"type", "properties", "required", "additionalProperties"}
 _ARRAY_KEYS = _ANNOTATIONS | {"type", "items", "prefixItems", "minItems", "maxItems"}
 _SCALAR_KEYS = {
     "number": ({int, float}, {"type", "minimum"}),
     "integer": ({int}, {"type", "minimum"}),
     "string": ({str}, {"type", "minLength"}),
+    "boolean": ({bool}, {"type"}),
 }
 
 
-def _spec(node: object) -> _Scalar | _Record | _LeafArray | None:
+def _spec(node: object) -> _Spec | None:
     """The bulk-check spec of a subschema, None if it has none."""
     if not isinstance(node, dict):
         return None
-    return _scalar(node) or _record(node) or _leaf_array(node)
+    kind = node.get("type")
+    if isinstance(kind, list):
+        rest = [k for k in kind if k != "null"]
+        if len(kind) != 2 or len(rest) != 1:
+            return None
+        spec = _spec({**node, "type": rest[0]})
+        return None if spec is None else _OrNull(spec)
+    return _choice(node) or _scalar(node) or _record(node) or _leaf_array(node)
+
+
+def _choice(node: dict) -> _Scalar | None:
+    """A "const" or "enum" of strings and integers.  Only a value of the
+    listed type matches, so 1.0, which jsonschema takes for 1, is left to
+    the walk."""
+    keys = set(node) - _ANNOTATIONS
+    if keys == {"const"}:
+        values = [node["const"]]
+    elif keys == {"enum"} and isinstance(node["enum"], list):
+        values = node["enum"]
+    else:
+        return None
+    if not values or not {type(v) for v in values} <= {int, str}:
+        return None
+    return _Scalar(frozenset(map(type, values)), None, 0, frozenset((type(v), v) for v in values))
 
 
 def _scalar(node: dict) -> _Scalar | None:
@@ -153,10 +160,13 @@ def _scalar(node: dict) -> _Scalar | None:
 def _record(node: dict) -> _Record | None:
     if node.get("type") != "object" or not set(node) <= _OBJECT_KEYS:
         return None
+    others = node.get("additionalProperties", True)
+    if type(others) is not bool:
+        return None
     fields = {key: _spec(sub) for key, sub in node.get("properties", {}).items()}
     if None in fields.values():
         return None
-    return _Record(tuple(node.get("required", ())), fields)
+    return _Record(tuple(node.get("required", ())), fields, not others)
 
 
 def _leaf_array(node: dict) -> _LeafArray | None:
@@ -199,28 +209,70 @@ def _inline(root: dict, node: object) -> object:
     return node
 
 
-def _bulk_items(validator, items, instance, schema):
-    """The "items" keyword, but a leaf array's items are checked as one
-    column; if that fails, its bad items are walked up to one the walk refuses."""
-    leaf = _leaf_arrays.get(id(schema))
-    if leaf is None:
-        yield from _PLAIN_ITEMS(validator, items, instance, schema)
-    elif validator.is_type(instance, "array") and not _column_ok(instance, leaf[1].item):
-        for i in range(_first_bad(instance, leaf[1].item), len(instance)):
-            if not _column_ok([instance[i]], leaf[1].item):
-                errors = list(validator.descend(instance[i], items, path=i))
-                if errors:
-                    yield from errors
-                    return
+@cache
+def _inlined(schema_name: str) -> tuple[dict, _Spec | None]:
+    """The schema with every local "$ref" inlined, and the spec of its root:
+    None for gold, whose triples mix integers and strings."""
+    schema = load_schema(schema_name)
+    inlined = _inline(schema, schema)
+    return inlined, _spec(inlined)
 
 
-_BulkValidator = jsonschema.validators.extend(_StrictValidator, {"items": _bulk_items})
+class _Validators(NamedTuple):
+    strict: type  # Draft 2020-12 with the strict "type" keyword
+    bulk: type  # strict, with leaf arrays' items checked in bulk
+
+
+@cache
+def _validators() -> _Validators:
+    """The jsonschema validator classes that word a refusal.  jsonschema is
+    imported here and nowhere else, so a process that reads only valid
+    documents never loads it."""
+    import jsonschema
+
+    plain_type = jsonschema.Draft202012Validator.VALIDATORS["type"]
+    plain_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
+
+    def strict_type(validator, types, instance, schema):
+        """The "type" keyword plus two rules of the formats: every number is
+        finite as a 64-bit float, and an integer has no decimal point."""
+        kind = type(instance)
+        types = [types] if isinstance(types, str) else types
+        if kind is float or (kind is int and "number" in types):
+            try:
+                finite = math.isfinite(instance)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
+                yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
+                return
+        if kind is float and "integer" in types and "number" not in types:
+            yield jsonschema.ValidationError(f"{instance!r} is not of type 'integer'")
+            return
+        yield from plain_type(validator, types, instance, schema)
+
+    def bulk_items(validator, items, instance, schema):
+        """The "items" keyword, but a leaf array's items are checked as one
+        column; if that fails, its bad items are walked up to one the walk
+        refuses."""
+        leaf = _leaf_arrays.get(id(schema))
+        if leaf is None:
+            yield from plain_items(validator, items, instance, schema)
+        elif validator.is_type(instance, "array") and not _column_ok(instance, leaf[1].item):
+            for i in range(_first_bad(instance, leaf[1].item), len(instance)):
+                if not _column_ok([instance[i]], leaf[1].item):
+                    errors = list(validator.descend(instance[i], items, path=i))
+                    if errors:
+                        yield from errors
+                        return
+
+    strict = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"type": strict_type})
+    return _Validators(strict, jsonschema.validators.extend(strict, {"items": bulk_items}))
 
 
 def _checker(schema_name: str) -> object:
     if schema_name not in _checkers:
-        schema = load_schema(schema_name)
-        _checkers[schema_name] = _BulkValidator(_inline(schema, schema))
+        _checkers[schema_name] = _validators().bulk(_inlined(schema_name)[0])
     return _checkers[schema_name]
 
 
@@ -231,6 +283,8 @@ def _scalars_ok(items: list, spec: _Scalar) -> bool:
     first = type(items[0])
     kinds = {first} if list(map(type, items)).count(first) == len(items) else set(map(type, items))
     if not kinds <= spec.types:
+        return False
+    if spec.choices is not None and not set(zip(map(type, items), items)) <= spec.choices:
         return False
     # A finite sum of floats means each one is finite; an overflowing sum
     # and ints, which can cancel, are left to the exact test.
@@ -245,12 +299,14 @@ def _scalars_ok(items: list, spec: _Scalar) -> bool:
     return spec.minimum is None or min(items) >= spec.minimum
 
 
-def _column_ok(values: list, spec: _Scalar | _Record | _LeafArray) -> bool:
+def _column_ok(values: list, spec: _Spec) -> bool:
     """Bulk check of values that all sit at one schema node; True only if
     jsonschema plus the strict type rules would find nothing wrong with any
     of them.  The check of a list holds iff it holds for each value."""
     if isinstance(spec, _Scalar):
         return _scalars_ok(values, spec)
+    if isinstance(spec, _OrNull):
+        return _column_ok([v for v in values if v is not None], spec.spec)
     if isinstance(spec, _LeafArray):
         if not set(map(type, values)) <= {list}:
             return False
@@ -263,13 +319,15 @@ def _column_ok(values: list, spec: _Scalar | _Record | _LeafArray) -> bool:
         return False
     if not all(key in r for key in spec.required for r in values):
         return False
+    if spec.closed and not all(r.keys() <= spec.fields.keys() for r in values):
+        return False
     return all(
         _column_ok([r[key] for r in values if key in r], field)
         for key, field in spec.fields.items()
     )
 
 
-def _first_bad(items: list, spec) -> int:
+def _first_bad(items: list, spec: _Spec) -> int:
     """Index of the first item that fails its bulk check, by bisection; at
     least one does."""
     lo, hi = 0, len(items)  # items[:lo] pass; items[lo:hi] holds a failure
@@ -282,9 +340,10 @@ def _first_bad(items: list, spec) -> int:
     return lo
 
 
-def _message(error: jsonschema.ValidationError, whole: bool) -> str:
-    """jsonschema's message, but an array or object that heads it is named
-    by its JSON type when it is the whole document or its repr is long."""
+def _message(error, whole: bool) -> str:
+    """The jsonschema error's message, but an array or object that heads it
+    is named by its JSON type when it is the whole document or its repr is
+    long."""
     value = error.instance
     shown = repr(value) if isinstance(value, (list, dict)) else None
     if shown is None or not error.message.startswith(shown):
@@ -298,20 +357,23 @@ def _message(error: jsonschema.ValidationError, whole: bool) -> str:
 def validate_document(doc: object, schema_name: str) -> None:
     """Schema-check a parsed document; FormatError names the bad path.
 
-    One jsonschema walk checks the document, in which the items of each
-    leaf array (an array of scalars, of leaf arrays, or of records whose
-    properties are scalars, records or leaf arrays) are checked in bulk by
-    the "items" keyword:
-    a score, structure or sentences file's `sentences` array is a leaf
-    array, so the logits of all its sentences are one column, and each
-    params matrix is its own column.  Only a column that fails is
+    A document is first checked in bulk against the spec of its schema's
+    root, a column check of every value at each schema node: the logits
+    of all sentences of a score, structure or sentences file are one
+    column, and each params matrix is its own.  A document that passes is
+    valid, and jsonschema is never loaded for it.  One that fails, and a
+    gold file, whose triples mix integers and strings, get one jsonschema
+    walk, in which the items of each leaf array (an array of scalars, of
+    leaf arrays, or of records whose properties all have specs) are again
+    checked in bulk by the "items" keyword.  Only a column that fails is
     searched, by bisection, for its first bad item, and jsonschema walks
     just that item, so the location and message are the ones a full walk
-    reports first.  A gold file's triples mix integers and strings, so its
-    `sentences` are walked in full.  Beyond the schema, every number must
-    be finite and an integer may not be written as 1.0; a document of the
-    wrong type, or a long array or object, is named by its JSON type, not
-    printed."""
+    reports first.  Beyond the schema, every number must be finite and an
+    integer may not be written as 1.0; a document of the wrong type, or a
+    long array or object, is named by its JSON type, not printed."""
+    spec = _inlined(schema_name)[1]
+    if spec is not None and _column_ok([doc], spec):
+        return
     errors = [(list(e.absolute_path), e) for e in _checker(schema_name).iter_errors(doc)]
     if errors:
         where, error = min(errors, key=lambda e: e[0])
@@ -383,7 +445,7 @@ def load_document(path: str, schema_name: str) -> object:
         return doc
 
 
-_NON_ASCII = re.compile("[\x7f-\U0010ffff]")
+_NON_ASCII = re.compile("[^\x00-\x7e]")
 
 
 def _ascii_escape(match: re.Match) -> str:

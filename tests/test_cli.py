@@ -12,6 +12,7 @@ import csv
 import gc
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -806,6 +807,51 @@ def test_a_fresh_decode_of_3000_sentences_runs_no_full_collection(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
+
+
+_LOADS_JSONSCHEMA = (
+    "import sys\n"
+    "import spanrel.cli as cli\n"
+    "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(code, 'jsonschema' in sys.modules)\n"
+)
+
+
+def _fresh_cli(*argv: str) -> tuple[list[str], str]:
+    """The exit code and whether jsonschema was imported, as the last line
+    of a fresh interpreter's output, and its standard error."""
+    env = os.environ.copy()
+    env.pop("SPANREL_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-c", _LOADS_JSONSCHEMA, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split(), proc.stderr
+
+
+def test_fresh_commands_on_valid_files_never_import_jsonschema(tmp_path):
+    """Every valid document passes its root's bulk check, so importing the
+    CLI and running score, decode and verify leave jsonschema unloaded."""
+    scores, structures = str(tmp_path / "s.json"), str(tmp_path / "d.json")
+    for argv in (
+        [],
+        ["score", SENTENCES, PARAMS, "-o", scores],
+        ["decode", scores, "-o", structures, "--algorithm", "entity-first",
+         "--constraints", "conll04"],
+        ["verify", structures, scores],
+    ):
+        assert _fresh_cli(*argv) == (["0", "False"], ""), argv
+
+
+def test_a_fresh_decode_of_a_non_finite_logit_still_exits_2(tmp_path):
+    """jsonschema is loaded to word a refusal, with the message it had."""
+    doc = json.loads(Path(GOLDEN_SCORE).read_text())
+    doc["sentences"][1]["entity_logits"][0][1] = math.inf
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps(doc))
+    status, err = _fresh_cli("decode", str(scores), "-o", str(tmp_path / "d.json"))
+    assert status == ["2", "True"]
+    assert err == ("error: invalid score document at sentences/1/entity_logits/0/1: "
+                   "inf is not a finite number\n")
 
 
 def test_the_benchmark_tracer_sees_score_decode_and_verify(tmp_path, capsys):

@@ -70,6 +70,17 @@ def test_dump_canonical_is_stable():
     assert dump_canonical(["😀", "\x7f"]) == '["\\ud83d\\ude00","\\u007f"]\n'
 
 
+def test_dump_canonical_escapes_each_character_as_the_stdlib_does():
+    """Every character past "~" is escaped as json escapes it: all of
+    U+0000-U+00FF, the edges of the escaped range and of the BMP, and a
+    stride over the rest of Unicode, surrogates left out."""
+    edges = [0x7E, 0x7F, 0x80, 0xFFFF, 0x10000, 0x10FFFF]
+    codes = [*range(0x100), *edges, *range(0x100, 0x110000, 997)]
+    chars = [chr(c) for c in codes if not 0xD800 <= c <= 0xDFFF]
+    for doc in ("".join(chars), chars, {c: c for c in chars}):
+        assert dump_canonical(doc) == formats._stdlib_canonical(doc)
+
+
 def _bits(doc):
     """The document with every float as its float.hex, so == compares bits
     and an int never equals a float."""

@@ -1,11 +1,13 @@
 """validate_document against full jsonschema on mutated documents.
 
-validate_document runs one jsonschema walk in which the items of the big
-leaf arrays are checked in bulk.  Each mutation below must be accepted or
-rejected exactly as Draft202012Validator over the whole document does, with
-the same location and message.  The two rules the formats add beyond the
-schemas (finite numbers, no 1.0 in integer slots) are the only expected
-differences, and they are checked separately.
+validate_document accepts a document that passes the bulk check of its
+schema's root without jsonschema; any other gets one jsonschema walk in
+which the items of the big leaf arrays are checked in bulk.  Each mutation
+below must be accepted or rejected exactly as Draft202012Validator over
+the whole document does, with the same location and message.  The two
+rules the formats add beyond the schemas (finite numbers, no 1.0 in
+integer slots) are the only expected differences, and they are checked
+separately.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import spanrel.cli as cli
 import spanrel.formats as formats
 from spanrel import ConstraintSet, FormatError, decode, load_gold, load_score_file
 from spanrel.formats import (
-    _StrictValidator,
     instances_from_score_doc,
     load_schema,
     structure_document,
@@ -331,9 +332,9 @@ def test_cli_decode_fails_closed_on_every_mutated_score(tmp_path):
 
 
 def strict_outcome(doc, schema: str, worded: bool = False):
-    """What a full _StrictValidator walk of the whole document reports;
-    worded, its message names a long value by type, as formats does."""
-    validator = _StrictValidator(load_schema(schema))
+    """What a full strict walk of the whole document reports; worded, its
+    message names a long value by type, as formats does."""
+    validator = formats._validators().strict(load_schema(schema))
     errors = [(list(e.absolute_path), e) for e in validator.iter_errors(doc)]
     if not errors:
         return None
@@ -365,9 +366,50 @@ def _random_mutation(rng: random.Random, doc: dict) -> None:
         parent[key] = copy.deepcopy(rng.choice(ODD_VALUES))
 
 
+KEYWORDS = {
+    # "const" and "enum" admit only the listed value, of its own type
+    **{
+        f"{source}-version-{value!r}": (source, [put("version", value)])
+        for source in ("params", "score", "structure")
+        for value in (1.0, True, 3, "1")
+    },
+    "structure-unknown-algorithm": ("structure", [put("algorithm", "greedy")]),
+    "structure-algorithm-not-string": ("structure", [put("algorithm", ["joint"])]),
+    # booleans
+    **{
+        f"{source}-{key}-{value!r}": (source, [put(key, value)])
+        for source, key in (("structure", "use_bias"), ("constraints", "non_overlap"))
+        for value in (1, 0, None)
+    },
+    # type unions with null
+    "structure-constraints-null": ("structure", [put("constraints", None)]),
+    "structure-constraints-number": ("structure", [put("constraints", 5)]),
+    "score-bias-null": ("score", [put("bias", None)]),
+    "score-bias-array": ("score", [put("bias", [])]),
+    "score-bias-missing-joint": ("score", [drop("bias/joint")]),
+    # "additionalProperties": false
+    "constraints-extra-root-key": ("constraints", [put("comment", "x")]),
+    "constraints-ace05-extra-row-key": ("constraints-ace05", [put("allowed/3/note", 1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYWORDS))
+def test_keywords_of_the_root_checks_match_a_full_strict_walk(case):
+    """const, enum, boolean, null unions and closed records, which the bulk
+    check of a document's root reads, keep a full walk's verdict, location
+    and message."""
+    source, mutations = KEYWORDS[case]
+    schema = source.split("-")[0]
+    doc = mutated(source, *mutations)
+    expected = strict_outcome(doc, schema, worded=True)
+    assert outcome(doc, schema) == expected
+    # jsonschema takes 1.0 for 1; the walk accepts it, as before
+    assert (expected is None) == case.endswith(("-1.0", "-null"))
+
+
 def test_seeded_mutations_match_a_full_strict_walk():
     """Bulk checks plus the walk of the first bad element give the verdict,
-    location and message of a full _StrictValidator walk."""
+    location and message of a full strict walk."""
     rng = random.Random(0)
     rejected = 0
     for trial in range(360):
@@ -400,31 +442,50 @@ def _spy_on_type(monkeypatch) -> list:
     """Every instance the "type" keyword of validate_document's validator
     sees from now on."""
     seen = []
-    plain = formats._BulkValidator.VALIDATORS["type"]
+    bulk = formats._validators().bulk
+    plain = bulk.VALIDATORS["type"]
 
     def spy(validator, types, instance, node):
         seen.append(instance)
         yield from plain(validator, types, instance, node)
 
-    monkeypatch.setitem(formats._BulkValidator.VALIDATORS, "type", spy)
+    monkeypatch.setitem(bulk.VALIDATORS, "type", spy)
     monkeypatch.setattr(formats, "_checkers", {})
     return seen
 
 
 @pytest.mark.parametrize("schema", ["score", "structure", "sentences"])
 def test_jsonschema_walks_no_sentence(monkeypatch, schema):
-    """Only the document head reaches jsonschema; sentence records are
-    checked as columns."""
+    """A valid document passes the bulk check of its root, so nothing of it
+    reaches jsonschema; sentence records are checked as columns."""
     seen = _spy_on_type(monkeypatch)
     doc = DOCS[schema]
     validate_document(doc, schema)
     keys = set(doc["sentences"][0])
-    assert seen and not any(type(x) is dict and keys & set(x) for x in seen)
+    assert seen == [] and not any(type(x) is dict and keys & set(x) for x in seen)
+
+
+@pytest.mark.parametrize(
+    "schema, key", [("score", "length"), ("structure", "objective"), ("sentences", "tokens")]
+)
+def test_jsonschema_walks_only_the_bad_sentence(monkeypatch, schema, key):
+    """One bad sentence among 200: the walk that words the refusal reaches
+    that sentence's record and no other."""
+    seen = _spy_on_type(monkeypatch)
+    doc = copy.deepcopy(DOCS[schema])
+    doc["sentences"] = [copy.deepcopy(s) for s in (doc["sentences"] * 200)[:200]]
+    bad = doc["sentences"][137]
+    bad[key] = None
+    with pytest.raises(FormatError, match=f"at sentences/137/{key}: None is not of type"):
+        validate_document(doc, schema)
+    keys = set(bad)
+    records = [x for x in seen if type(x) is dict and keys & set(x)]
+    assert records and all(x is bad for x in records)
 
 
 def test_jsonschema_walks_no_params_matrix(monkeypatch):
-    """Each params matrix is checked as one column; no weight reaches
-    jsonschema's "type" keyword, nor does any row of weights."""
+    """Each params matrix is checked as one column; a valid params file
+    reaches no jsonschema keyword, so no weight or row of weights does."""
     seen = _spy_on_type(monkeypatch)
     validate_document(DOCS["params"], "params")
     rows, stack = set(), [DOCS["params"]]
@@ -433,7 +494,7 @@ def test_jsonschema_walks_no_params_matrix(monkeypatch):
         children = list(node.values() if type(node) is dict else node)
         rows.update(id(x) for x in children if type(node) is list and type(x) is list)
         stack += [x for x in children if type(x) in (dict, list)]
-    assert rows and seen
+    assert rows and seen == []
     assert not any(type(x) is float or id(x) in rows for x in seen)
 
 
