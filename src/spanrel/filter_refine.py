@@ -13,11 +13,11 @@ over the token embeddings (the survivors read from the sentence) and a
 self-attention pass among the survivors followed by a feed-forward update.
 All three updates are plain residual adds.
 
-A stack of S equal-length sentences runs every step once on a leading
-axis, and each sentence keeps its own top k of its own N cells: a stack's
-kept_indices are each sentence's m indices into its own grid, one
-sentence after another.  A stack whose sentences would keep different
-counts raises RaggedStackError.
+Every step runs once over a stack of S equal-length sentences on a
+leading axis; one sentence is a stack of one.  Each sentence keeps its own
+top k of its own N cells: a stack's kept_indices are each sentence's m
+indices into its own grid, one sentence after another.  A stack whose
+sentences would keep different counts raises RaggedStackError.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .numerics import (
     FeedForwardParams,
     feed_forward,
     multi_head_attention,
-    unstack,
 )
 from .representation import CandidateGrid
 
@@ -90,7 +89,8 @@ def top_k_select(
     if k < 1:
         raise ValueError("k must be positive")
     seg = scores.reshape(-1, scores.shape[-1])  # one row per sentence
-    live = np.add.reduce(seg > NEG_SENTINEL, axis=1).tolist()
+    keep = seg > NEG_SENTINEL  # every live cell, all False when m is 0
+    live = np.add.reduce(keep, axis=1).tolist()
     m = min(k, max(live))
     if min(live) < m:
         raise RaggedStackError("the sentences of a stack keep different numbers of candidates")
@@ -101,8 +101,6 @@ def top_k_select(
             for row, values, c in zip(keep, seg, cut[:, 0]):
                 ties = np.flatnonzero(values == c)  # the highest-index ties give way
                 row[ties[len(ties) + m - np.count_nonzero(row) :]] = False
-    else:
-        keep = np.zeros(seg.shape, dtype=bool)
     kept = np.nonzero(keep)[1].reshape(*scores.shape[:-1], m)
     rows = z.rows(kept) if isinstance(z, CandidateGrid) else np.asarray(z, dtype=np.float64)[kept]
     return FilterResult(tuple(kept.ravel().tolist()), rows, scores)
@@ -113,7 +111,7 @@ def read(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual cross-attention of the survivors over the token embeddings.
 
-    Returns (updated, attn), attn shaped (heads, K, L) or (S, heads, K, L);
+    Returns (updated, attn), attn shaped (..., heads, K, L);
     the attention is what the dump-attention export writes out.
     """
     out, attn = multi_head_attention(z_f, tokens, params)
@@ -156,15 +154,3 @@ def filter_and_refine(
         ranking_scores=scores,
         read_attention=attn,
     )
-
-
-def split(result: FilterResult, count: int) -> list[FilterResult]:
-    """Each sentence's FilterResult of a stack of count's, sharing no memory."""
-    if count == 1:
-        return [result]
-    m, attn = len(result.kept_indices) // count, result.read_attention
-    columns = zip(
-        unstack(result.representations, count), unstack(result.ranking_scores, count),
-        [None] * count if attn is None else unstack(attn, count),
-    )
-    return [FilterResult(result.kept_indices[s * m : (s + 1) * m], *c) for s, c in enumerate(columns)]

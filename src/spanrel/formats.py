@@ -132,17 +132,19 @@ def _spec(node: object) -> _Spec | None:
 
 
 def _choice(node: dict) -> _Scalar | None:
-    """A "const" or "enum" of strings and integers.  Only a value of the
-    listed type matches, so 1.0, which jsonschema takes for 1, is left to
-    the walk."""
-    keys = set(node) - _ANNOTATIONS
+    """A "const" or "enum" of strings and integers, with or without a "type"
+    that every listed value has.  Only a value of the listed type matches,
+    so 1.0, which jsonschema takes for 1, is left to the walk."""
+    keys = set(node) - _ANNOTATIONS - {"type"}
     if keys == {"const"}:
         values = [node["const"]]
     elif keys == {"enum"} and isinstance(node["enum"], list):
         values = node["enum"]
     else:
         return None
-    if not values or not {type(v) for v in values} <= {int, str}:
+    kind = node.get("type")
+    types = {int, str} if kind is None else _SCALAR_KEYS.get(kind, (set(),))[0] & {int, str}
+    if not values or not {type(v) for v in values} <= types:
         return None
     return _Scalar(frozenset(map(type, values)), None, 0, frozenset((type(v), v) for v in values))
 

@@ -1,15 +1,15 @@
 """Dense numeric kernels shared by the scoring pipeline.
 
-Everything here is a pure function over float64 numpy arrays: affine maps,
-masked softmax, scaled dot-product multi-head attention, two-layer
-feed-forward blocks with ReLU, and the scalar head that ranking scores
-come from.  No layer normalization and no dropout anywhere; attention and
-feed-forward outputs are consumed through plain residual adds by the
-callers.  Identical inputs give bitwise-identical outputs on a given
-platform.
+Everything here is a pure function over float64 numpy arrays: masked
+softmax, scaled dot-product multi-head attention, two-layer feed-forward
+blocks with ReLU, and the scalar head that ranking scores come from.  No
+layer normalization and no dropout anywhere; attention and feed-forward
+outputs are consumed through plain residual adds by the callers.
+Identical inputs give bitwise-identical outputs on a given platform.
 
-The matrix kernels also take a stack of S matrices on a leading axis, one
-per sentence.  Each product keeps one sentence's shape, never one tall
+The matrix kernels run one expression over a stack of S matrices on a
+leading axis, one per sentence (a sentence is a stack of one), or over a
+plain matrix.  Each product keeps one sentence's shape, never one tall
 (S * N)-row product, whose rows BLAS may round by where they sit.
 
 The scalar head sums each row with np.einsum rather than a BLAS gemv: a
@@ -20,6 +20,7 @@ sums every row in the same order, so equal rows give equal scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,28 +46,6 @@ def as_matrix(x, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if cols is not None and a.shape[-1] != cols:
         raise ValueError(f"expected {cols} cols, got {a.shape[-1]}")
     return a
-
-
-def unstack(x: np.ndarray, count: int) -> list[np.ndarray]:
-    """The count arrays of a stack, each its own copy; one array is no stack."""
-    return [x] if count == 1 else [a.copy() for a in x]
-
-
-def linear(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Affine map x @ w (+ bias); x may be a stack of matrices."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if x.ndim not in (2, 3) or w.ndim != 2:
-        raise ValueError("linear expects 2-D operands (x may be a stack of them)")
-    if x.shape[-1] != w.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {x.shape} @ {w.shape}")
-    out = x @ w
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (w.shape[1],):
-            raise ValueError(f"bias shape {bias.shape} does not match output width {w.shape[1]}")
-        out = out + bias
-    return out
 
 
 def softmax(v: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -150,9 +129,9 @@ class AttentionWeights:
 
 
 def _split_heads(x: np.ndarray, parts: int, heads: int) -> np.ndarray:
-    """([S,] N, parts * heads * hd) -> (parts, [S,] heads, N, hd), a view."""
-    axes = (1, 2, 0, 3) if x.ndim == 2 else (2, 0, 3, 1, 4)
-    return x.reshape(*x.shape[:-1], parts, heads, -1).transpose(axes)
+    """(..., N, parts * heads * hd) -> (parts, ..., heads, N, hd), a view."""
+    x = x.reshape(*x.shape[:-1], parts, heads, -1)
+    return x.transpose(-3, *range(x.ndim - 4), -2, -4, -1)
 
 
 def multi_head_attention(
@@ -160,15 +139,15 @@ def multi_head_attention(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention with per-head projections.
 
-    Returns (output, attn): output has the queries' shape ([S,] Q, dim), attn
-    ([S,] heads, Q, N), each attn row a distribution over the N key
-    positions, for S stacked matrices.  Scaling is 1/sqrt(head_dim).
+    Returns (output, attn): output has the queries' shape (..., Q, dim),
+    attn (..., heads, Q, N), each attn row a distribution over the N key
+    positions.  Scaling is 1/sqrt(head_dim).
     """
     q = as_matrix(queries, cols=params.dim)
     kv = as_matrix(keys_values, cols=params.dim)
     if kv.shape[-2] == 0:
         raise ValueError("attention needs at least one key/value position")
-    scale = 1.0 / np.sqrt(float(params.head_dim))
+    scale = 1.0 / math.sqrt(params.head_dim)
     # Every head at once from the stacked projection, in one product when
     # keys_values is queries (self-attention); a column of a product is the
     # same dot product however many columns sit beside it.
@@ -181,10 +160,8 @@ def multi_head_attention(
     logits = qh @ kh.swapaxes(-1, -2)
     logits *= scale
     attn = _softmax_rows_in_place(logits)
-    out = np.zeros(q.shape)
-    for head_out in ((attn @ vh) @ params.wo).swapaxes(0, -3):  # in head order
-        out += head_out
-    return out, attn
+    # The heads' outputs added in head order onto 0.0, one at a time.
+    return np.add.reduce((attn @ vh) @ params.wo, axis=-3, initial=0.0), attn
 
 
 @dataclass(frozen=True)
@@ -222,9 +199,9 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def feed_forward(x: np.ndarray, params: FeedForwardParams) -> np.ndarray:
-    """linear -> ReLU -> linear."""
+    """affine -> ReLU -> affine, over the last axis of x."""
     x = as_matrix(x, cols=params.in_dim)
-    return linear(relu(linear(x, params.w1, params.b1)), params.w2, params.b2)
+    return relu(x @ params.w1 + params.b1) @ params.w2 + params.b2
 
 
 def scalar_head(hidden: np.ndarray, params: FeedForwardParams) -> np.ndarray:

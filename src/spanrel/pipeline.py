@@ -22,8 +22,7 @@ from itertools import groupby
 import numpy as np
 
 from .decode import ALGORITHMS, ScoredInstance
-from .filter_refine import FilterResult, RaggedStackError, filter_and_refine, split
-from .numerics import unstack
+from .filter_refine import FilterResult, RaggedStackError, filter_and_refine
 from .params import ModelParams
 # forward never calls enumerate_spans, span_representations or
 # relation_representations, the dense views of span_grid and pair_grid;
@@ -139,8 +138,9 @@ def forward_stacks(
 ) -> Iterator[tuple[int, ForwardResult]]:
     """(input position, ForwardResult) of every sentence, shortest first, in
     stacks of at most STACK_SIZE equal-length sentences, each stage once per
-    stack.  Only the current stack's results are held, results share no
-    memory, and every sentence is checked before any is scored."""
+    stack.  Only the current stack's results are held, and every sentence
+    is checked before any is scored.  Results share no memory, but each
+    one's arrays are views that keep its stack's arrays alive."""
     config = config or _DEFAULT_CONFIG
     sentences = [_checked(tokens) for tokens in sentences]
     order = sorted(range(len(sentences)), key=lambda pos: len(sentences[pos]))
@@ -168,10 +168,10 @@ def _checked(tokens: Sequence[str]) -> tuple[str, ...]:
 def _forward_stack(
     sentences: list[tuple[str, ...]], params: ModelParams, config: RunConfig
 ) -> list[ForwardResult]:
-    """Sentences of one length, each stage once; one sentence runs on plain matrices."""
+    """Sentences of one length, a lone one too, as one (S, L, D) stack, each
+    stage once; result s holds views [s] of the stack's arrays."""
     count, length, width = len(sentences), len(sentences[0]), params.max_span_width
-    vectors = [encode_tokens(tokens, params.dim, config.seed) for tokens in sentences]
-    vectors = vectors[0] if count == 1 else np.array(vectors)
+    vectors = np.array([encode_tokens(tokens, params.dim, config.seed) for tokens in sentences])
     spans = span_grid(vectors, width, params.span_proj)
     k_span = config.k_span if config.k_span is not None else default_k_span(length, width)
     span_fr = filter_and_refine(
@@ -192,9 +192,8 @@ def _forward_stack(
     starts, ends = spans.endpoints(np.array(span_fr.kept_indices).reshape(count, -1))
     heads, tails = pairs.endpoints(np.array(pair_fr.kept_indices).reshape(count, -1))
     columns = zip(
-        sentences, zip(starts.tolist(), ends.tolist()), unstack(entity_logits, count),
-        zip(heads.tolist(), tails.tolist()), unstack(relation_logits, count),
-        split(span_fr, count), split(pair_fr, count),
+        sentences, zip(starts.tolist(), ends.tolist()), entity_logits,
+        zip(heads.tolist(), tails.tolist()), relation_logits, _slices(span_fr), _slices(pair_fr),
     )
     return [
         ForwardResult(
@@ -204,6 +203,14 @@ def _forward_stack(
         )
         for tokens, se, ent, ht, rel, span_part, pair_part in columns
     ]
+
+
+def _slices(result: FilterResult) -> Iterator[FilterResult]:
+    """Each sentence's FilterResult of a stack's, its arrays views [s]."""
+    m, attn = result.representations.shape[-2], result.read_attention
+    for s, (reps, scores) in enumerate(zip(result.representations, result.ranking_scores)):
+        yield FilterResult(result.kept_indices[s * m : (s + 1) * m], reps, scores,
+                           None if attn is None else attn[s])
 
 
 __all__ = [

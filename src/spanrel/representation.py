@@ -21,8 +21,9 @@ D-wide rows are built only for the cells kept.  enumerate_spans,
 span_representations and relation_representations are dense views of the
 same grids.
 
-A CandidateGrid may also hold a stack of grids of one shape, one per
-sentence of a stack of equal-length sentences, on a leading axis.
+A CandidateGrid holds a stack of grids of one shape on a leading axis, one
+per sentence of equal length (a sentence is a stack of one), or the one
+grid of a plain matrix; each method runs one expression for both.
 """
 
 from __future__ import annotations
@@ -185,10 +186,11 @@ class CandidateGrid:
     def rows(self, index) -> np.ndarray:
         """Rows of the given flat cells; of a stack's, (S, m) cells per grid."""
         a, t = self.endpoints(index)
-        if self.head.ndim == 2:
-            return self.head[a] + self.tail[t]
-        s = np.arange(len(a))[:, None]
-        return self.head[s, a] + self.tail[s, t]
+        head = self.head.reshape(-1, *self.head.shape[-2:])  # (S, A, D)
+        tail = self.tail.reshape(-1, *self.tail.shape[-2:])
+        s = np.arange(len(head))[:, None]
+        rows = head[s, a.reshape(len(head), -1)] + tail[s, t.reshape(len(head), -1)]
+        return rows.reshape(*a.shape, head.shape[-1])
 
     def _windows(self, x: np.ndarray) -> np.ndarray:
         """(S, A, W, ...) view of x[s, a * step + w] for a C-contiguous x."""
@@ -203,7 +205,7 @@ class CandidateGrid:
         summed as w2 . max(a, -b) + w2 . b, one pass over a (rows, W, hidden)
         buffer per block of one grid's rows, instead of an A*W x hidden one."""
         a, b = self.head @ ffn.w1 + ffn.b1, self.tail @ ffn.w1
-        a, b = (a[None], b[None]) if a.ndim == 2 else (a, b)  # a grid is a stack of one
+        a, b = a.reshape(-1, *a.shape[-2:]), b.reshape(-1, *b.shape[-2:])  # (S, ., hidden)
         neg_b = self._windows(-b)
         (stack, n, hidden), width = a.shape, self.width
         rows = max(16, RANK_BLOCK // max(1, width))
@@ -219,11 +221,6 @@ class CandidateGrid:
         return scores.reshape(self.valid.shape)
 
 
-def _each(mask: np.ndarray, lead: list[int]) -> np.ndarray:
-    """One grid's cell mask, repeated for each grid of a stack."""
-    return mask.reshape(1, -1).repeat(lead[0], axis=0) if lead else mask
-
-
 def span_grid(embeddings: np.ndarray, max_width: int, w_ent: np.ndarray) -> CandidateGrid:
     """The L*M span grid concat(x[start], x[end]) @ w_ent, step 1, of one
     sentence's (L, D) embeddings or of each of a stack's (S, L, D).
@@ -237,7 +234,7 @@ def span_grid(embeddings: np.ndarray, max_width: int, w_ent: np.ndarray) -> Cand
     *lead, length, dim = left.shape
     tail = np.concatenate([right, np.zeros((*lead, max_width - 1, dim))], axis=-2)
     starts, widths = np.divmod(np.arange(length * max_width), max_width)
-    return CandidateGrid(left, tail, max_width, 1, _each(starts + widths < length, lead))
+    return CandidateGrid(left, tail, max_width, 1, np.tile(starts + widths < length, (*lead, 1)))
 
 
 def pair_grid(span_reps: np.ndarray, w_rel: np.ndarray) -> CandidateGrid:
@@ -246,7 +243,7 @@ def pair_grid(span_reps: np.ndarray, w_rel: np.ndarray) -> CandidateGrid:
     self-pairs are cells but invalid."""
     head, tail = _endpoint_factors(span_reps, w_rel, "w_rel")
     *lead, k, _ = head.shape
-    return CandidateGrid(head, tail, k, 0, _each(~np.eye(k, dtype=bool).ravel(), lead))
+    return CandidateGrid(head, tail, k, 0, np.tile(~np.eye(k, dtype=bool).ravel(), (*lead, 1)))
 
 
 def span_representations(
@@ -254,7 +251,7 @@ def span_representations(
 ) -> np.ndarray:
     """Dense rows of span_grid(...): row k is grid cell k, zero if invalid."""
     grid = span_grid(embeddings, max_width, w_ent)
-    rows = grid.rows(np.arange(grid.valid.size))
+    rows = grid.rows(np.indices(grid.valid.shape)[-1])  # every cell of each grid
     rows[~grid.valid] = 0.0
     return rows
 
@@ -267,7 +264,7 @@ def relation_representations(
     grid = pair_grid(span_reps, w_rel)
     k = grid.width
     pairs = [(h, t) for h in range(k) for t in range(k)]
-    return grid.rows(np.arange(k * k)), pairs, grid.valid
+    return grid.rows(np.indices(grid.valid.shape)[-1]), pairs, grid.valid
 
 
 def classify_spans(span_reps: np.ndarray, head_params) -> np.ndarray:
@@ -278,9 +275,7 @@ def classify_spans(span_reps: np.ndarray, head_params) -> np.ndarray:
 
 
 def classify_relations(rel_reps: np.ndarray, head_params) -> np.ndarray:
-    """Raw relation-type logits, one row per pair; column 0 is the null label."""
-    if rel_reps.shape[-2] == 0:
-        return np.zeros((*rel_reps.shape[:-1], head_params.out_dim))
+    """Raw relation-type logits, one row per pair, if any; column 0 is the null label."""
     return feed_forward(rel_reps, head_params)
 
 

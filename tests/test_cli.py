@@ -145,6 +145,20 @@ def test_score_file_of_an_unknown_version_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_score_file_whose_version_has_a_decimal_point_exits_2(tmp_path, capsys):
+    """An integer has no decimal point: a version of 2.0 is refused, though
+    jsonschema's enum alone takes it for 2."""
+    doc = json.loads(Path(GOLDEN_SCORE).read_text())
+    doc["version"] = 2.0
+    scores = tmp_path / "v2.0.json"
+    scores.write_text(json.dumps(doc))
+    out = tmp_path / "o.json"
+    assert cli.main(["decode", str(scores), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid score document at version: 2.0 is not of type 'integer'" in err
+    assert not out.exists()
+
+
 def test_score_memory_does_not_grow_with_the_corpus(tmp_path):
     """score packs each sentence as soon as it is scored and drops its
     ForwardResult.  Over 200 sentences of 40-80 tokens the tracemalloc

@@ -15,7 +15,14 @@ from spanrel import (
     softmax,
     softmax_rows,
 )
-from spanrel.numerics import as_matrix, linear, relu, scalar_head
+from spanrel.filter_refine import FilterResult, ranking_scores, top_k_select
+from spanrel.numerics import as_matrix, relu, scalar_head
+from spanrel.representation import (
+    pair_grid,
+    relation_representations,
+    span_grid,
+    span_representations,
+)
 
 
 def test_make_rng_repeatable():
@@ -34,19 +41,6 @@ def test_as_matrix_checks():
         as_matrix([[1, 2]], rows=2)
     with pytest.raises(ValueError):
         as_matrix([[1, 2]], cols=3)
-
-
-def test_linear_matches_manual():
-    rng = make_rng(0)
-    x = rng.normal(size=(5, 3))
-    w = rng.normal(size=(3, 4))
-    b = rng.normal(size=4)
-    assert np.allclose(linear(x, w, b), x @ w + b)
-    assert np.allclose(linear(x, w), x @ w)
-    with pytest.raises(ValueError):
-        linear(x, rng.normal(size=(4, 2)))
-    with pytest.raises(ValueError):
-        linear(x, w, rng.normal(size=3))
 
 
 def test_softmax_basic():
@@ -219,7 +213,7 @@ def test_feed_forward_matches_manual():
     )
     x = rng.normal(size=(4, 5))
     expected = np.maximum(x @ params.w1 + params.b1, 0.0) @ params.w2 + params.b2
-    assert np.allclose(feed_forward(x, params), expected, atol=1e-12)
+    assert np.array_equal(feed_forward(x, params), expected)
     assert params.in_dim == 5 and params.out_dim == 3
 
 
@@ -244,3 +238,56 @@ def test_feed_forward_validation():
 def test_relu():
     x = np.array([-2.0, 0.0, 3.5])
     assert np.array_equal(relu(x), np.array([0.0, 0.0, 3.5]))
+
+
+def _stack_kernels():
+    """Kernels run on x (N, 8) and kv (M, 8), or on both stacked as one."""
+    rng = make_rng(10)
+    attn = _rand_attention(rng, dim=8, heads=2)
+    ffn = FeedForwardParams(rng.normal(size=(8, 5)), rng.normal(size=5),
+                            rng.normal(size=(5, 3)), rng.normal(size=3))
+    rank = FeedForwardParams(rng.normal(size=(8, 6)), rng.normal(size=6),
+                             rng.normal(size=(6, 1)), rng.normal(size=1))
+    w = rng.normal(size=(16, 8))
+
+    def cells(x, n):
+        return np.arange(0, n, 3).reshape(*x.shape[:-2], -1)
+
+    def top_k(grid):
+        return top_k_select(grid, ranking_scores(grid, rank, grid.valid), 4)
+
+    return {
+        "self-attention": lambda x, kv: multi_head_attention(x, x, attn),
+        "cross-attention": lambda x, kv: multi_head_attention(x, kv, attn),
+        "feed-forward": lambda x, kv: feed_forward(x, ffn),
+        "span-rank": lambda x, kv: span_grid(x, 3, w).rank(rank),
+        "span-rows": lambda x, kv: span_grid(x, 3, w).rows(cells(x, 18)),
+        "span-top-k": lambda x, kv: top_k(span_grid(x, 3, w)),
+        "pair-rank": lambda x, kv: pair_grid(x, w).rank(rank),
+        "pair-rows": lambda x, kv: pair_grid(x, w).rows(cells(x, 36)),
+        "pair-top-k": lambda x, kv: top_k(pair_grid(x, w)),
+        "span-dense": lambda x, kv: span_representations(x, 3, w),
+        "pair-dense": lambda x, kv: relation_representations(x, w)[::2],
+    }
+
+
+STACK_KERNELS = _stack_kernels()
+
+
+@pytest.mark.parametrize("kernel", STACK_KERNELS.values(), ids=STACK_KERNELS.keys())
+def test_one_matrix_gets_the_bits_of_a_stack_of_one(kernel):
+    """A plain matrix and the same matrix stacked as one run one expression,
+    so every output is the same, bit for bit, under a leading axis of 1.
+    Rows repeat, so top-k meets ties."""
+    rng = make_rng(11)
+    x, kv = rng.normal(size=(3, 8))[np.arange(6) % 3], rng.normal(size=(9, 8))
+    one, stacked = kernel(x, kv), kernel(x[None], kv[None])
+    if isinstance(one, FilterResult):
+        assert one.kept_indices == stacked.kept_indices
+        one = (one.representations, one.ranking_scores)
+        stacked = (stacked.representations, stacked.ranking_scores)
+    elif isinstance(one, np.ndarray):
+        one, stacked = (one,), (stacked,)
+    for a, b in zip(one, stacked, strict=True):
+        assert b.shape == (1, *a.shape)
+        assert b[0].tobytes() == a.tobytes()

@@ -371,7 +371,7 @@ KEYWORDS = {
     **{
         f"{source}-version-{value!r}": (source, [put("version", value)])
         for source in ("params", "score", "structure")
-        for value in (1.0, True, 3, "1")
+        for value in (1.0, 2.0, True, 3, "1")
     },
     "structure-unknown-algorithm": ("structure", [put("algorithm", "greedy")]),
     "structure-algorithm-not-string": ("structure", [put("algorithm", ["joint"])]),
@@ -403,8 +403,8 @@ def test_keywords_of_the_root_checks_match_a_full_strict_walk(case):
     doc = mutated(source, *mutations)
     expected = strict_outcome(doc, schema, worded=True)
     assert outcome(doc, schema) == expected
-    # jsonschema takes 1.0 for 1; the walk accepts it, as before
-    assert (expected is None) == case.endswith(("-1.0", "-null"))
+    # every version is an integer, so 1.0 and 2.0 fail as True does
+    assert (expected is None) == case.endswith("-null")
 
 
 def test_seeded_mutations_match_a_full_strict_walk():
