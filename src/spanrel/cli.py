@@ -41,11 +41,12 @@ from .formats import (
     structures_from_doc,
     write_json,
 )
-# The CLI reads through load_document; perfbench/spantrace.py wraps these
-# two names here, so they stay importable from this module.
+# The CLI reads through load_document and scores through forward_stacks;
+# perfbench/spantrace.py wraps read_json, validate_document and forward here,
+# so they stay importable from this module.
 from .formats import read_json, validate_document  # noqa: F401
 from .params import init_params, params_from_json, params_to_json
-from .pipeline import RunConfig, forward, forward_stacks, normalize_algorithm
+from .pipeline import RunConfig, forward, forward_stacks, normalize_algorithm  # noqa: F401
 from .representation import TypeInventory
 
 
@@ -182,8 +183,7 @@ def cmd_dump_attention(args: argparse.Namespace) -> int:
     sentences = load_sentences(args.sentences)
     params = _load_params(args.params)
     os.makedirs(args.output, exist_ok=True)
-    for pos, tokens in enumerate(sentences):
-        result = forward(tokens, params, config)
+    for pos, result in forward_stacks(sentences, params, config):
         length = result.instance.length
         for level, fr in (
             ("span", result.span_filter),

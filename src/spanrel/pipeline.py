@@ -41,7 +41,10 @@ from .representation import (  # noqa: F401
 
 
 SHOWN_MAX = 80  # the longest repr of a value an error message prints
-STACK_SIZE = 8  # sentences per stack; 16 scored short sentences no faster
+# The cells, L * max(L, D) per sentence, that one stack may hold: 8 sentences
+# at L = D = 64.  A count would not do: at L = 10 a stack of 16 is 10% faster
+# per sentence than one of 8, and 8 sentences of 320 tokens peak at 8 times one.
+STACK_CELLS = 8 * 64 * 64
 
 
 def shown(value: object) -> str:
@@ -137,16 +140,22 @@ def forward_stacks(
     sentences: Sequence[Sequence[str]], params: ModelParams, config: RunConfig | None = None
 ) -> Iterator[tuple[int, ForwardResult]]:
     """(input position, ForwardResult) of every sentence, shortest first, in
-    stacks of at most STACK_SIZE equal-length sentences, each stage once per
-    stack.  Only the current stack's results are held, and every sentence
-    is checked before any is scored.  Results share no memory, but each
-    one's arrays are views that keep its stack's arrays alive."""
+    stacks of equal-length sentences, each stage once per stack.  A stack of
+    length L holds at most max(1, STACK_CELLS // (L * max(L, dim))) sentences,
+    and a length's sentences are split into as few stacks as that allows,
+    their sizes differing by at most one.  Only the current stack's results
+    are held, and every sentence is checked before any is scored.  Results
+    share no memory, but each one's arrays are views that keep its stack's
+    arrays alive."""
     config = config or _DEFAULT_CONFIG
     sentences = [_checked(tokens) for tokens in sentences]
     order = sorted(range(len(sentences)), key=lambda pos: len(sentences[pos]))
-    for _, same in groupby(order, key=lambda pos: len(sentences[pos])):
+    for length, same in groupby(order, key=lambda pos: len(sentences[pos])):
         same = list(same)
-        for group in (same[lo : lo + STACK_SIZE] for lo in range(0, len(same), STACK_SIZE)):
+        cap = max(1, STACK_CELLS // (length * max(length, params.dim)))
+        count = -(-len(same) // cap)
+        for i in range(count):
+            group = same[i * len(same) // count : (i + 1) * len(same) // count]
             stack = [sentences[pos] for pos in group]
             try:
                 results = _forward_stack(stack, params, config)

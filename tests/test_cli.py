@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import spanrel.cli as cli
+import spanrel.pipeline as pipeline
 from spanrel import (
     ALGORITHMS,
     BudgetExceededError,
@@ -185,24 +186,49 @@ def test_score_memory_does_not_grow_with_the_corpus(tmp_path):
     assert peak <= 30e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def test_score_writes_each_sentence_at_its_input_position(tmp_path):
-    """score runs stacks of equal-length sentences, shortest first, yet
-    writes the bytes that packing one forward per sentence in input order
-    gives."""
+def _mixed_lengths_file(tmp_path) -> tuple[Path, list[list[str]]]:
+    """A sentences file of lengths 1-28, 20 of length 6, in shuffled order."""
     rng = np.random.default_rng(7)
     vocab = [f"w{i}" for i in range(40)]
     lengths = rng.permutation([1, 2, 3] * 3 + [6] * 20 + list(range(4, 30, 3)))
     sentences = [[vocab[j] for j in rng.integers(0, len(vocab), n)] for n in lengths]
     path = tmp_path / "sentences.json"
     write_json(str(path), {"sentences": [{"tokens": t} for t in sentences]})
+    return path, sentences
+
+
+def test_score_writes_each_sentence_at_its_input_position(tmp_path, monkeypatch):
+    """score runs stacks of equal-length sentences, shortest first, yet
+    writes the bytes that packing one forward per sentence in input order
+    gives, and the same bytes with a cell budget that scores every
+    sentence alone."""
+    path, sentences = _mixed_lengths_file(tmp_path)
     out = tmp_path / "scores.json"
-    assert cli.main(["score", str(path), PARAMS, "-o", str(out), "--seed", "3", "--depth", "2"]) == 0
+    args = ["score", str(path), PARAMS, "-o", str(out), "--seed", "3", "--depth", "2"]
+    assert cli.main(args) == 0
     params = params_from_json(read_json(PARAMS))
     config = RunConfig(seed=3, depth=2)
     want = tmp_path / "want.json"
     results = enumerate(forward(t, params, config) for t in sentences)
     write_json(str(want), score_document(results, 3))
     assert out.read_bytes() == want.read_bytes()
+    monkeypatch.setattr(pipeline, "STACK_CELLS", 1)
+    assert cli.main(args) == 0
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_dump_attention_files_do_not_depend_on_the_stacks(tmp_path, monkeypatch):
+    """dump-attention scores in stacks but names its files by input
+    position: with every sentence scored alone it writes the same files."""
+    path, sentences = _mixed_lengths_file(tmp_path)
+    dumps = {}
+    for budget in (pipeline.STACK_CELLS, 1):
+        monkeypatch.setattr(pipeline, "STACK_CELLS", budget)
+        outdir = tmp_path / f"att{budget}"
+        assert cli.main(["dump-attention", str(path), PARAMS, "-o", str(outdir)]) == 0
+        dumps[budget] = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    stacked, alone = dumps.values()
+    assert len(stacked) == 4 * len(sentences) and stacked == alone
 
 
 def test_decode_verify_roundtrip(tmp_path):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import tracemalloc
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ from spanrel import (
     encode_tokens,
     feed_forward,
     forward,
+    forward_stacks,
     init_params,
     load_constraint_set,
     loss_from_forward,
@@ -278,6 +280,21 @@ def test_forward_memory_is_bounded(params):
     finally:
         tracemalloc.stop()
     assert peak <= 15e6, f"forward peak {peak / 1e6:.1f} MB at L = 320"
+
+
+def test_forward_stacks_memory_is_bounded(params):
+    """A stack holds a budget of cells, not a count of sentences, so 8
+    sentences of 320 tokens are scored one at a time and peak as one lone
+    forward does; stacked 8 at a time they peaked at about 108 MB."""
+    sentences = [_sentence(320, 17 + i, vocab_size=2000) for i in range(8)]
+    deque(forward_stacks(sentences, params), maxlen=0)  # token vectors are cached
+    tracemalloc.start()
+    try:
+        deque(forward_stacks(sentences, params), maxlen=0)  # each result dropped at once
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6, f"forward_stacks peak {peak / 1e6:.1f} MB for 8 sentences at L = 320"
 
 
 def test_loss_from_forward_matches_reference(params):

@@ -237,13 +237,25 @@ def _assert_same(got, want, where):
         assert a[name].tobytes() == b[name].tobytes(), f"{where} {name}"
 
 
+FIVES_PER_STACK = 8  # the stack size at length 5 under a small_budget
+
+
+@pytest.fixture
+def small_budget(small_params, monkeypatch):
+    """A cell budget that stacks FIVES_PER_STACK sentences of length 5 at
+    small_params' dim 16 (the default stacks 409), so that length 5 of
+    _mixed_sentences fills more than one stack."""
+    monkeypatch.setattr(pipeline, "STACK_CELLS", FIVES_PER_STACK * 5 * small_params.dim)
+
+
 def _mixed_sentences(seed: int) -> list[tuple[str, ...]]:
     """Shuffled sentences of lengths 1 (no pairs), 2-3 (under the width
     limit 4), 4 and 6-9 (over it), with a length that fills more than one
-    stack, and sentences of one repeated token, whose equal spans tie."""
+    stack under a small_budget, and sentences of one repeated token, whose
+    equal spans tie."""
     rng = np.random.default_rng(seed)
     vocab = [f"w{i}" for i in range(12)]
-    lengths = [1, 1, 2, 3, 3, 4, 6, 7, 9, 9] + [5] * (pipeline.STACK_SIZE + 3)
+    lengths = [1, 1, 2, 3, 3, 4, 6, 7, 9, 9] + [5] * (FIVES_PER_STACK + 3)
     sentences = [tuple(vocab[i] for i in rng.integers(0, len(vocab), n)) for n in lengths]
     sentences += [("the",) * 5, ("the",) * 7, ("a", "b") * 3]
     return [sentences[i] for i in rng.permutation(len(sentences))]
@@ -266,6 +278,7 @@ STACK_CONFIGS = {
 }
 
 
+@pytest.mark.usefixtures("small_budget")
 @pytest.mark.parametrize("config", STACK_CONFIGS.values(), ids=STACK_CONFIGS.keys())
 def test_forward_batch_matches_forward_one_sentence_at_a_time(small_params, config):
     """Stacks of equal lengths score every sentence bit for bit as forward
@@ -276,6 +289,7 @@ def test_forward_batch_matches_forward_one_sentence_at_a_time(small_params, conf
         _assert_same(result, forward(tokens, small_params, config), f"sentence {pos}")
 
 
+@pytest.mark.usefixtures("small_budget")
 @pytest.mark.parametrize("level", ["span_filter", "relation_filter"])
 def test_a_stack_whose_kept_counts_differ_matches_forward(small_params, level):
     """Finite but huge ranking weights make NaN scores, which drop out of
@@ -302,6 +316,7 @@ def test_a_stack_whose_kept_counts_differ_matches_forward(small_params, level):
     assert any(len(counts) > 1 for counts in kept.values()), "no ragged stack"
 
 
+@pytest.mark.usefixtures("small_budget")
 def test_forward_batch_results_share_no_memory(small_params):
     got = _in_order(_mixed_sentences(6), small_params, RunConfig(depth=2))
     arrays = [(pos, a) for pos, result in enumerate(got) for a in _arrays(result).values()]
@@ -318,17 +333,35 @@ def test_forward_batch_checks_every_sentence(small_params):
 
 
 def test_forward_stacks_scores_equal_lengths_together_shortest_first(small_params, monkeypatch):
-    sentences = [("a",) * n for n in [3, 1, 3, 2] + [4] * (pipeline.STACK_SIZE + 1)]
+    """Each length is split into as few stacks as its cap allows, sizes
+    differing by at most one: by default one stack per length here, and
+    under a budget of 512 cells at dim 16, stacks of 5, 6 and 6 sentences
+    of length 4 and one sentence per stack of length 20."""
+    sentences = [("a",) * n for n in [3, 1, 3, 2] + [4] * 17 + [20] * 2]
     seen, score = [], pipeline._forward_stack
     monkeypatch.setattr(
         pipeline, "_forward_stack", lambda stack, *rest: seen.append(stack) or score(stack, *rest)
     )
-    positions = [pos for pos, _ in pipeline.forward_stacks(sentences, small_params)]
-    assert sorted(positions) == list(range(len(sentences)))
-    assert positions[:2] == [1, 3] and sorted(positions[2:4]) == [0, 2]
-    assert [len(stack[0]) for stack in seen] == [1, 2, 3, 4, 4]
-    assert all(len(set(map(len, stack))) == 1 for stack in seen)
-    assert max(map(len, seen)) == pipeline.STACK_SIZE
+    expected = {
+        pipeline.STACK_CELLS: {1: [1], 2: [1], 3: [2], 4: [17], 20: [2]},
+        512: {1: [1], 2: [1], 3: [2], 4: [5, 6, 6], 20: [1, 1]},
+    }
+    for budget, want in expected.items():
+        monkeypatch.setattr(pipeline, "STACK_CELLS", budget)
+        seen.clear()
+        positions = [pos for pos, _ in pipeline.forward_stacks(sentences, small_params)]
+        assert sorted(positions) == list(range(len(sentences)))
+        assert positions[:2] == [1, 3] and sorted(positions[2:4]) == [0, 2]
+        assert all(len(set(map(len, stack))) == 1 for stack in seen)
+        sizes = {}
+        for stack in seen:  # shortest first
+            sizes.setdefault(len(stack[0]), []).append(len(stack))
+        assert list(sizes) == sorted(sizes) and sizes == want, budget
+        for length, got in sizes.items():
+            cap = max(1, budget // (length * max(length, small_params.dim)))
+            total = sum(len(s) == length for s in sentences)
+            assert max(got) <= cap and max(got) - min(got) <= 1, (budget, length)
+            assert len(got) == -(-total // cap), (budget, length)
 
 
 def test_forward_stacks_keeps_no_result_it_handed_out(small_params):
