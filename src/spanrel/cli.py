@@ -6,9 +6,7 @@ from a score file), verify (constraint check of a structure file), bench
 attention and ranking scores), init-params (fresh random parameter file).
 
 Exit codes: 0 success, 1 constraint violations (or a failed bench
-assertion), 2 input or schema errors, 3 search budget exceeded.  A JSON
-file of RunConfig defaults may be pointed to by $SPANREL_CONFIG;
-explicit flags win over it.
+assertion), 2 input or schema errors, 3 search budget exceeded.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .formats import (
     load_score_file,
     load_sentences,
     load_structure_file,
-    read_json_stdlib,
     score_document,
     structure_document,
     structures_from_doc,
@@ -46,36 +43,15 @@ from .formats import (
 # so they stay importable from this module.
 from .formats import read_json, validate_document  # noqa: F401
 from .params import init_params, params_from_json, params_to_json
-from .pipeline import RunConfig, forward, forward_stacks, normalize_algorithm  # noqa: F401
+from .pipeline import RunConfig, forward, forward_stacks  # noqa: F401
 from .representation import TypeInventory
 
 
-def _env_config() -> dict:
-    path = os.environ.get("SPANREL_CONFIG")
-    if not path:
-        return {}
-    doc = read_json_stdlib(path)  # RunConfig, not a schema, checks it
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: config file must hold a JSON object")
-    known = {f.name for f in dataclass_fields(RunConfig)}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise FormatError(f"{path}: unknown config keys {unknown}")
-    return dict(doc)
-
-
 def _make_config(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from env-file defaults overridden by the flags given: each
-    flag is stored under its field's name, and is None unless given."""
-    merged = _env_config()
-    for field in dataclass_fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            merged[field.name] = value
-    try:
-        return RunConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(str(exc)) from exc
+    """RunConfig from the flags given: each flag is stored under its
+    field's name, and is None unless given."""
+    flags = {f.name: getattr(args, f.name, None) for f in dataclass_fields(RunConfig)}
+    return RunConfig(**{name: v for name, v in flags.items() if v is not None})
 
 
 def _load_params(path: str):

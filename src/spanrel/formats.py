@@ -555,9 +555,10 @@ def score_document(results: Iterable, seed: int) -> dict:
     entries: dict[int, dict] = {}
     for pos, result in results:
         entries[pos] = _score_entry(result)
+        inv, bias = result.instance.inventory, result.instance.bias
+        del result  # frees its stack's arrays before the next stack is scored
     if not entries:
         raise ValueError("need at least one scored sentence")
-    inv, bias = result.instance.inventory, result.instance.bias
     return {
         "version": 2,  # version 1 also held each sentence's ranking vectors
         "seed": seed,

@@ -90,7 +90,7 @@ class RunConfig:
             raise ValueError("seed must be non-negative")
 
     def _check_types(self) -> None:
-        """TypeError naming the field, for values a config file can hold
+        """TypeError naming the field, for values a library caller can pass
         but the run cannot use (a bool is not taken for an int)."""
         for name in ("k_span", "k_rel", "depth", "seed", "budget"):
             v = getattr(self, name)

@@ -2,7 +2,7 @@
 
 Covers exit codes (0 ok, 1 violations, 2 bad input, 3 budget), the
 golden score and attention files, score-file versions 1 and 2, the memory
-`score` holds, the environment config file, and the hand-built overlap
+`score` holds, the run flags, and the hand-built overlap
 fixture whose decodes are small enough to verify by hand arithmetic.
 """
 
@@ -52,7 +52,6 @@ OVERLAP = str(FIXTURES / "overlap_score.json")
 
 def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
     env = os.environ.copy()
-    env.pop("SPANREL_CONFIG", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -598,72 +597,19 @@ def test_non_finite_params_exit_2(tmp_path):
     assert "entity_head/w1/2/3: inf is not a finite number" in proc.stderr
 
 
-def test_env_config_file(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"algorithm": "entity-first"}))
+def test_decode_records_its_flags(tmp_path):
+    """--algorithm and --no-bias set the run, and the structure file
+    records them; without them decode runs joint with the bias."""
     out = str(tmp_path / "o.json")
-    env = {"SPANREL_CONFIG": str(cfg)}
-    proc = run_cli("decode", OVERLAP, "-o", out, env_extra=env)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(Path(out).read_text())["algorithm"] == "entity-first"
-    # an explicit flag wins over the config file
-    proc = run_cli("decode", OVERLAP, "-o", out, "--algorithm", "joint", env_extra=env)
-    assert proc.returncode == 0
-    assert json.loads(Path(out).read_text())["algorithm"] == "joint"
-    # --no-bias turns the bias off; its absence leaves the file's setting
-    for config, flags, use_bias in (
-        ({}, ["--no-bias"], False),
-        ({"use_bias": True}, ["--no-bias"], False),
-        ({"use_bias": False}, [], False),
-        ({"use_bias": True}, [], True),
+    for flags, algorithm, use_bias in (
+        ([], "joint", True),
+        (["--algorithm", "entity-first"], "entity-first", True),
+        (["--no-bias"], "joint", False),
     ):
-        cfg.write_text(json.dumps(config))
-        assert run_cli("decode", OVERLAP, "-o", out, *flags, env_extra=env).returncode == 0
-        assert json.loads(Path(out).read_text())["use_bias"] is use_bias
-    for unknown in ({"bogus": 1}, {"jobs": 2}, {"margin": 1.0}):
-        cfg.write_text(json.dumps(unknown))
-        assert run_cli("decode", OVERLAP, "-o", out, env_extra=env).returncode == 2
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        {"k_span": "3"},
-        {"algorithm": 5},
-        {"depth": 1.5},
-        {"k_span": True},
-        {"budget": 2.0},
-        {"use_bias": 1},
-    ],
-    ids=lambda v: json.dumps(v),
-)
-def test_wrongly_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, value):
-    """A config value of the wrong JSON type is bad input: exit 2 with a
-    message naming the key, never a crash or a bool taken for 1."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(value))
-    monkeypatch.setenv("SPANREL_CONFIG", str(cfg))
-    out = tmp_path / "o.json"
-    assert cli.main(["score", SENTENCES, PARAMS, "-o", str(out)]) == 2
-    (key,) = value
-    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "value",
-    [{"algorithm": "x" * 200_000}, {"seed": list(range(100_000))}],
-    ids=["long-string", "long-array"],
-)
-def test_a_long_config_value_is_cut_short(tmp_path, monkeypatch, capsys, value):
-    """A long config value is refused in one short line, not printed whole."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(value))
-    monkeypatch.setenv("SPANREL_CONFIG", str(cfg))
-    assert cli.main(["score", SENTENCES, PARAMS, "-o", str(tmp_path / "o.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert len(err.encode()) < 1024
+        proc = run_cli("decode", OVERLAP, "-o", out, *flags)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(Path(out).read_text())
+        assert (doc["algorithm"], doc["use_bias"]) == (algorithm, use_bias)
 
 
 def test_dump_attention_matches_golden(tmp_path):
@@ -769,14 +715,13 @@ def test_bench_refuses_sizes_it_cannot_run(flags):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("config", [{"budget": 0}, {"bogus": 1}])
-def test_bench_reads_the_config_file(tmp_path, config):
-    """bench takes its seed, budget and bias setting through RunConfig, so
-    $SPANREL_CONFIG is checked as for every other run command."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    proc = run_cli("bench", "--count", "2", "--length", "8",
-                   env_extra={"SPANREL_CONFIG": str(cfg)})
+@pytest.mark.parametrize("config", [{"budget": 0}])
+def test_bench_reads_the_config_file(config):
+    """bench takes its seed, budget and bias setting through RunConfig,
+    built from its flags alone, so a value RunConfig refuses exits 2 as
+    for every other run command."""
+    flags = [a for key, value in config.items() for a in (f"--{key}", str(value))]
+    proc = run_cli("bench", "--count", "2", "--length", "8", *flags)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
@@ -841,10 +786,8 @@ def test_a_fresh_decode_of_3000_sentences_runs_no_full_collection(tmp_path):
     scores = tmp_path / "scores.json"
     write_json(str(scores), doc)
     argv = ["decode", str(scores), "-o", str(tmp_path / "d.json"), "--algorithm", "entity-first"]
-    env = os.environ.copy()
-    env.pop("SPANREL_CONFIG", None)
     proc = subprocess.run([sys.executable, "-c", _FULL_COLLECTIONS, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
 
@@ -860,10 +803,8 @@ _LOADS_JSONSCHEMA = (
 def _fresh_cli(*argv: str) -> tuple[list[str], str]:
     """The exit code and whether jsonschema was imported, as the last line
     of a fresh interpreter's output, and its standard error."""
-    env = os.environ.copy()
-    env.pop("SPANREL_CONFIG", None)
     proc = subprocess.run([sys.executable, "-c", _LOADS_JSONSCHEMA, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split(), proc.stderr
 

@@ -19,9 +19,8 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_t
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:
-    """python with args, with this spanrel importable and no config file."""
+    """python with args, with this spanrel importable."""
     env = os.environ.copy()
-    env.pop("SPANREL_CONFIG", None)
     package_root = str(Path(spanrel.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     done = subprocess.run(

@@ -34,6 +34,7 @@ from spanrel import (
     load_constraint_set,
     loss_from_forward,
     make_rng,
+    score_document,
     softmax_rows,
     valid_span_count,
 )
@@ -295,6 +296,21 @@ def test_forward_stacks_memory_is_bounded(params):
     finally:
         tracemalloc.stop()
     assert peak <= 15e6, f"forward_stacks peak {peak / 1e6:.1f} MB for 8 sentences at L = 320"
+
+
+def test_score_document_holds_one_stack_at_a_time(params):
+    """score_document drops each result once it is packed, so the stack it
+    came from is freed before the next one is scored; holding the last
+    result kept two stacks alive and peaked at about 23 MB."""
+    sentences = [_sentence(320, 17 + i, vocab_size=2000) for i in range(8)]
+    deque(forward_stacks(sentences, params), maxlen=0)  # token vectors are cached
+    tracemalloc.start()
+    try:
+        score_document(forward_stacks(sentences, params), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17e6, f"score_document peak {peak / 1e6:.1f} MB for 8 sentences at L = 320"
 
 
 def test_loss_from_forward_matches_reference(params):

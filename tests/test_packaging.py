@@ -46,3 +46,33 @@ def test_public_name_lists_resolve():
         names = module.__all__
         assert len(names) == len(set(names)), f"{module.__name__}: duplicate names"
         exec(f"from {module.__name__} import *", {})  # AttributeError on a stale name
+
+
+ENVIRONMENT_READS = {"os.environ", "os.environb", "os.getenv", "os.getenvb"}
+
+
+def _environment_reads(path: Path) -> list[int]:
+    """Lines of a module that name os.environ or os.getenv, as an attribute
+    or in a from-import."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = {f"{node.value.id}.{node.attr}"}
+        elif isinstance(node, ast.ImportFrom):
+            names = {f"{node.module}.{alias.name}" for alias in node.names}
+        else:
+            continue
+        if names & ENVIRONMENT_READS:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_reads_the_environment():
+    """A run is configured by its arguments alone: no module of the package
+    reads the process environment."""
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src" / "spanrel").glob("*.py"))
+        if (lines := _environment_reads(path))
+    }
+    assert found == {}

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 import weakref
@@ -130,6 +131,38 @@ def test_run_config_validation():
         RunConfig(seed=-1)
     with pytest.raises(ValueError):
         RunConfig(budget=0)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"k_span": "3"},
+        {"algorithm": 5},
+        {"depth": 1.5},
+        {"k_span": True},
+        {"budget": 2.0},
+        {"use_bias": 1},
+    ],
+    ids=json.dumps,
+)
+def test_wrongly_typed_config_value_raises_type_error(value):
+    """A field of the wrong type is refused naming the field; a bool is
+    not taken for an integer."""
+    (key,) = value
+    with pytest.raises(TypeError, match=f"^{key} must be "):
+        RunConfig(**value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"algorithm": "x" * 200_000}, {"seed": list(range(100_000))}],
+    ids=["long-string", "long-array"],
+)
+def test_a_long_config_value_is_cut_short(value):
+    """A long value is refused in one short message, not repeated whole."""
+    with pytest.raises((TypeError, ValueError)) as refused:
+        RunConfig(**value)
+    assert len(str(refused.value).encode()) < 1024
 
 
 def test_forward_without_a_config_builds_none(small_params, monkeypatch):
