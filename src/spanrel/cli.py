@@ -28,6 +28,7 @@ from .decode import (
 from .formats import (
     BUNDLED_CONSTRAINTS,
     FormatError,
+    _collector_paused,
     load_constraint_set,
     load_document,
     load_score_file,
@@ -306,15 +307,18 @@ _parser = cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (MemoryError, OSError, KeyError, ValueError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+    # A command makes no reference cycle, so a collection inside one frees
+    # nothing; the collector runs again between commands.
+    with _collector_paused():
+        args = _parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except BudgetExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (MemoryError, OSError, KeyError, ValueError) as exc:
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -19,8 +19,7 @@ import gc
 import json
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Iterable, Sequence
 from functools import cache
 from importlib import resources
 from itertools import accumulate, chain
@@ -409,8 +408,7 @@ def read_json(path: str) -> object:
         return read_json_stdlib(path)
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
+class _collector_paused:
     """No cyclic garbage collection inside; the collector's prior state after.
 
     Parsing allocates a container per JSON array and object.  Every 700
@@ -418,14 +416,24 @@ def _collector_paused() -> Iterator[None]:
     up until full collections walk it all again.  A parsed document holds
     no reference cycle, so none of those walks frees anything: on a score
     file of 3,000 sentences they took a fifth of `spanrel decode`.  The
-    pause covers loading only, never a whole command, so a long-lived
-    process still runs its full collections."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
+    same holds for what a command builds from a document, so `cli.main`
+    runs each whole command inside this pause, and a long-lived process
+    that calls it still runs its collections between commands.  The
+    loaders keep their own pause for library callers; nested inside a
+    command's, it does nothing.  This is the one place in the package
+    that sets the collector's state.
+
+    A class, not a generator: turning the collector back on is the last
+    thing the pause does and allocates nothing after it, so the young
+    collection the paused allocations have made due runs in the caller,
+    not inside the pause's exit."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.enabled:
             gc.enable()
 
 

@@ -1,8 +1,12 @@
-"""Shared test helpers: random instance generators and acceptance reporting."""
+"""Shared test helpers: random instance generators, acceptance reporting and
+the collector-state fixture."""
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
+import pytest
 
 from spanrel import BiasTable, ConstraintSet, ScoredInstance, TypeInventory
 
@@ -128,3 +132,12 @@ def random_intervals(rng, length: int, max_width: int, count: int):
         end = min(length - 1, start + int(rng.integers(0, max_width)))
         out.append((start, end, float(rng.normal(0.0, 3.0))))
     return out
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The collector's state around a test, set to the parameter; restored after."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()

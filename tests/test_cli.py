@@ -730,30 +730,89 @@ def test_bench_reads_the_config_file(config):
 # per-process work and the cyclic collector
 
 
+def _fixture_commands(tmp_path) -> dict[str, tuple[list[str], int]]:
+    """Each command on the fixtures, by name, with the exit code it gives;
+    the first writes the score file the rest read."""
+    scores, structures = str(tmp_path / "s.json"), str(tmp_path / "d.json")
+    decode = ["decode", scores, "-o", structures, "--constraints", "conll04", "--algorithm"]
+    return {
+        "score": (["score", SENTENCES, PARAMS, "-o", scores], 0),
+        "decode entity-first": ([*decode, "entity-first"], 0),
+        "decode joint": ([*decode, "joint"], 0),
+        "decode relation-first": ([*decode, "relation-first"], 0),
+        "verify": (["verify", structures, scores], 0),
+        "dump-attention": (["dump-attention", SENTENCES, PARAMS, "-o", str(tmp_path / "att")], 0),
+        "bench conll04": (["bench", "--count", "5", "--length", "12"], 0),
+        "bench ace05": (["bench", "--count", "5", "--length", "12", "--constraints", "ace05"], 0),
+        "a params file as a score file": (["decode", PARAMS, "-o", structures], 2),
+        "decode --budget 1": ([*decode, "joint", "--budget", "1"], 3),
+    }
+
+
 def test_commands_build_the_parser_once_and_make_no_cyclic_garbage(tmp_path, capsys):
     """cli.main parses with one parser per process, and a command, once the
-    process has run it before, leaves nothing for the cyclic collector."""
-    scores, structures = str(tmp_path / "s.json"), str(tmp_path / "d.json")
-    commands = [
-        ["score", SENTENCES, PARAMS, "-o", scores],
-        ["decode", scores, "-o", structures, "--algorithm", "entity-first",
-         "--constraints", "conll04"],
-        ["verify", structures, scores],
-    ]
-    for argv in commands:
-        assert cli.main(argv) == 0
+    process has run it before, leaves nothing for the cyclic collector, on
+    every exit path.  This is what lets cli.main pause the collector for a
+    whole command."""
+    commands = _fixture_commands(tmp_path).values()
+    for argv, code in commands:
+        assert cli.main(argv) == code
     assert cli._parser() is cli._parser()
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        for argv in commands:
-            assert cli.main(argv) == 0
+        for argv, code in commands:
+            assert cli.main(argv) == code
         gc.collect()
         assert gc.garbage == []
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
+    capsys.readouterr()
+
+
+def test_no_collection_runs_inside_a_command(tmp_path, capsys):
+    """cli.main runs each command with the cyclic collector paused, so no
+    collection walks the documents and instances a command holds, even
+    with a threshold that starts one every 50 new containers."""
+    commands = _fixture_commands(tmp_path)
+    names = ["score", "decode entity-first", "decode joint", "verify", "dump-attention"]
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    thresholds = gc.get_threshold()
+    gc.set_threshold(50)
+    gc.callbacks.append(count)
+    try:
+        assert gc.isenabled()
+        [[] for _ in range(200)]
+        assert starts  # the threshold starts collections outside a command
+        found = {}
+        for name in names:
+            argv, code = commands[name]
+            gc.collect()  # nothing is due when the command starts
+            starts.clear()
+            assert cli.main(argv) == code
+            found[name] = len(starts)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*thresholds)
+    assert found == dict.fromkeys(names, 0)
+    capsys.readouterr()
+
+
+def test_cli_main_restores_the_collector_state_on_every_exit(tmp_path, capsys, collector):
+    """After each command the collector is on or off as it was before, when
+    the command succeeds, refuses its input (2) or runs out of budget (3)."""
+    commands = _fixture_commands(tmp_path)
+    for name in ["score", "decode entity-first", "a params file as a score file", "decode --budget 1"]:
+        argv, code = commands[name]
+        assert cli.main(argv) == code, name
+        assert gc.isenabled() is collector, name
     capsys.readouterr()
 
 
@@ -778,8 +837,7 @@ _FULL_COLLECTIONS = (
 
 
 def test_a_fresh_decode_of_3000_sentences_runs_no_full_collection(tmp_path):
-    """The collector is paused while the score file loads, and decode drops
-    the parsed document once its instances are built, so the containers of
+    """The collector is paused for the whole command, so the containers of
     3,000 parsed sentences never reach the oldest generation."""
     doc = json.loads(Path(GOLDEN_SCORE).read_text())
     doc["sentences"] = doc["sentences"] * 750

@@ -503,15 +503,6 @@ def _spy(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, spy)
 
 
-@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
-def collector(request):
-    """The collector's state around a test, set to the parameter; restored after."""
-    before = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if before else gc.disable)()
-
-
 def test_loaders_pause_the_collector_and_restore_it(tmp_path, monkeypatch, collector):
     """Parsing, validation and building instances run with the collector
     off; afterwards it is as it was, whether the load succeeded, failed

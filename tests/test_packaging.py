@@ -76,3 +76,34 @@ def test_no_module_reads_the_environment():
         if (lines := _environment_reads(path))
     }
     assert found == {}
+
+
+COLLECTOR_SETTERS = {"gc.disable", "gc.enable", "gc.freeze", "gc.set_threshold"}
+
+
+def _collector_settings(path: Path) -> list[tuple[str, int]]:
+    """(owner, line) of each place a module names gc.disable, gc.enable,
+    gc.freeze or gc.set_threshold, as an attribute or in a from-import; the
+    owner is the module's top-level function or class around it."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {f"{node.value.id}.{node.attr}"}
+            elif isinstance(node, ast.ImportFrom):
+                names = {f"{node.module}.{alias.name}" for alias in node.names}
+            else:
+                continue
+            if names & COLLECTOR_SETTERS:
+                found.append((f"{path.stem}.{owner}", node.lineno))
+    return found
+
+
+def test_only_the_collector_pause_sets_the_collectors_state():
+    """formats._collector_paused is the one owner of the cyclic collector's
+    state, so every pause restores what the caller had."""
+    found = [hit for path in sorted((ROOT / "src" / "spanrel").glob("*.py"))
+             for hit in _collector_settings(path)]
+    owners = {owner for owner, _ in found}
+    assert owners == {"formats._collector_paused"}, found
