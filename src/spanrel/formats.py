@@ -23,6 +23,7 @@ from collections.abc import Iterable, Sequence
 from functools import cache
 from importlib import resources
 from itertools import accumulate, chain
+from numbers import Number
 from typing import NamedTuple
 
 import numpy as np
@@ -46,22 +47,16 @@ class FormatError(ValueError):
     """A document failed schema or referential validation."""
 
 
-_schemas: dict[str, dict] = {}
-# Per schema: a jsonschema validator of its inlined schema, built for refusals.
-_checkers: dict[str, object] = {}
-
-
+@cache
 def load_schema(name: str) -> dict:
     if name not in SCHEMA_NAMES:
         raise ValueError(f"no schema named {name!r}")
-    if name not in _schemas:
-        text = (
-            resources.files("spanrel")
-            .joinpath("schemas", f"{name}.schema.json")
-            .read_text(encoding="utf-8")
-        )
-        _schemas[name] = json.loads(text)
-    return _schemas[name]
+    text = (
+        resources.files("spanrel")
+        .joinpath("schemas", f"{name}.schema.json")
+        .read_text(encoding="utf-8")
+    )
+    return json.loads(text)
 
 
 class _Scalar(NamedTuple):
@@ -101,10 +96,6 @@ class _OrNull(NamedTuple):
 
 _Spec = _Scalar | _Record | _LeafArray | _OrNull
 
-# The spec of each leaf-array node of the checkers' schemas, by the node's
-# identity, beside the node, which keeps that identity from being reused.
-_leaf_arrays: dict[int, tuple[dict, _LeafArray]] = {}
-
 _ANNOTATIONS = {"$schema", "$id", "$defs", "title", "description", "default"}
 _OBJECT_KEYS = _ANNOTATIONS | {"type", "properties", "required", "additionalProperties"}
 _ARRAY_KEYS = _ANNOTATIONS | {"type", "items", "prefixItems", "minItems", "maxItems"}
@@ -133,7 +124,7 @@ def _spec(node: object) -> _Spec | None:
 def _choice(node: dict) -> _Scalar | None:
     """A "const" or "enum" of strings and integers, with or without a "type"
     that every listed value has.  Only a value of the listed type matches,
-    so 1.0, which jsonschema takes for 1, is left to the walk."""
+    so 1.0, which JSON Schema takes for 1, is left to the walk."""
     keys = set(node) - _ANNOTATIONS - {"type"}
     if keys == {"const"}:
         values = [node["const"]]
@@ -171,10 +162,7 @@ def _record(node: dict) -> _Record | None:
 
 
 def _leaf_array(node: dict) -> _LeafArray | None:
-    """The spec of node if it is an array of scalars, records or leaf
-    arrays; one spec object per schema node, kept in _leaf_arrays."""
-    if id(node) in _leaf_arrays:
-        return _leaf_arrays[id(node)][1]
+    """The spec of node if it is an array of scalars, records or leaf arrays."""
     if node.get("type") != "array" or not set(node) <= _ARRAY_KEYS:
         return None
     low, high = node.get("minItems", 0), node.get("maxItems")
@@ -187,15 +175,12 @@ def _leaf_array(node: dict) -> _LeafArray | None:
         item = _spec(prefix[0])
     else:
         item = _spec(node.get("items"))
-    if item is None:
-        return None
-    _leaf_arrays[id(node)] = (node, _LeafArray(low, high, item))
-    return _leaf_arrays[id(node)][1]
+    return None if item is None else _LeafArray(low, high, item)
 
 
 def _inline(root: dict, node: object) -> object:
     """A copy of node with each local "$ref" replaced by its target, itself
-    inlined, and the spec of every leaf array in it kept."""
+    inlined."""
     if isinstance(node, list):
         return [_inline(root, x) for x in node]
     if not isinstance(node, dict):
@@ -205,9 +190,7 @@ def _inline(root: dict, node: object) -> object:
         for part in node["$ref"][2:].split("/"):
             target = target[part]
         return _inline(root, target)
-    node = {key: _inline(root, sub) for key, sub in node.items()}
-    _leaf_array(node)
-    return node
+    return {key: _inline(root, sub) for key, sub in node.items()}
 
 
 @cache
@@ -217,64 +200,6 @@ def _inlined(schema_name: str) -> tuple[dict, _Spec | None]:
     schema = load_schema(schema_name)
     inlined = _inline(schema, schema)
     return inlined, _spec(inlined)
-
-
-class _Validators(NamedTuple):
-    strict: type  # Draft 2020-12 with the strict "type" keyword
-    bulk: type  # strict, with leaf arrays' items checked in bulk
-
-
-@cache
-def _validators() -> _Validators:
-    """The jsonschema validator classes that word a refusal.  jsonschema is
-    imported here and nowhere else, so a process that reads only valid
-    documents never loads it."""
-    import jsonschema
-
-    plain_type = jsonschema.Draft202012Validator.VALIDATORS["type"]
-    plain_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
-
-    def strict_type(validator, types, instance, schema):
-        """The "type" keyword plus two rules of the formats: every number is
-        finite as a 64-bit float, and an integer has no decimal point."""
-        kind = type(instance)
-        types = [types] if isinstance(types, str) else types
-        if kind is float or (kind is int and "number" in types):
-            try:
-                finite = math.isfinite(instance)
-            except OverflowError:  # an int beyond the float range
-                finite = False
-            if not finite:
-                yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
-                return
-        if kind is float and "integer" in types and "number" not in types:
-            yield jsonschema.ValidationError(f"{instance!r} is not of type 'integer'")
-            return
-        yield from plain_type(validator, types, instance, schema)
-
-    def bulk_items(validator, items, instance, schema):
-        """The "items" keyword, but a leaf array's items are checked as one
-        column; if that fails, its bad items are walked up to one the walk
-        refuses."""
-        leaf = _leaf_arrays.get(id(schema))
-        if leaf is None:
-            yield from plain_items(validator, items, instance, schema)
-        elif validator.is_type(instance, "array") and not _column_ok(instance, leaf[1].item):
-            for i in range(_first_bad(instance, leaf[1].item), len(instance)):
-                if not _column_ok([instance[i]], leaf[1].item):
-                    errors = list(validator.descend(instance[i], items, path=i))
-                    if errors:
-                        yield from errors
-                        return
-
-    strict = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"type": strict_type})
-    return _Validators(strict, jsonschema.validators.extend(strict, {"items": bulk_items}))
-
-
-def _checker(schema_name: str) -> object:
-    if schema_name not in _checkers:
-        _checkers[schema_name] = _validators().bulk(_inlined(schema_name)[0])
-    return _checkers[schema_name]
 
 
 def _scalars_ok(items: list, spec: _Scalar) -> bool:
@@ -302,8 +227,8 @@ def _scalars_ok(items: list, spec: _Scalar) -> bool:
 
 def _column_ok(values: list, spec: _Spec) -> bool:
     """Bulk check of values that all sit at one schema node; True only if
-    jsonschema plus the strict type rules would find nothing wrong with any
-    of them.  The check of a list holds iff it holds for each value."""
+    the walk of _first_error would find nothing wrong with any of them.
+    The check of a list holds iff it holds for each value."""
     if isinstance(spec, _Scalar):
         return _scalars_ok(values, spec)
     if isinstance(spec, _OrNull):
@@ -341,45 +266,121 @@ def _first_bad(items: list, spec: _Spec) -> int:
     return lo
 
 
-def _message(error, whole: bool) -> str:
-    """The jsonschema error's message, but an array or object that heads it
-    is named by its JSON type when it is the whole document or its repr is
-    long."""
-    value = error.instance
-    shown = repr(value) if isinstance(value, (list, dict)) else None
-    if shown is None or not error.message.startswith(shown):
-        return error.message
-    if len(shown) <= SHOWN_MAX and not whole:
-        return error.message
-    kind = "an array" if isinstance(value, list) else "an object"
-    return kind + error.message[len(shown):]
+# The JSON types as JSON Schema tells them apart: true is no integer, 1.0 is.
+_IS_TYPE = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: (not isinstance(v, bool) and isinstance(v, int)
+                          or isinstance(v, float) and v.is_integer()),
+    "null": lambda v: v is None,
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, Number),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+
+def _equal(a: object, b: object) -> bool:
+    """Equality as "const" and "enum" read it: true is not 1, but 1.0 is."""
+    return a is b if isinstance(a, bool) or isinstance(b, bool) else a == b
+
+
+def _own_error(value: object, node: dict) -> str | tuple[object, str] | None:
+    """The first error of value against node's keywords that do not descend,
+    in the walk's order, which every bundled schema lists them in.  Beyond
+    the schema, every number must be finite and an integer may not be 1.0.
+    A message led by value is (value, rest), worded only when reported."""
+    if "type" in node:
+        types, kind = node["type"], type(value)
+        types = [types] if isinstance(types, str) else types
+        if kind is float or (kind is int and "number" in types):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
+                return value, " is not a finite number"
+        if kind is float and "integer" in types and "number" not in types:
+            return value, " is not of type 'integer'"
+        if not any(_IS_TYPE[t](value) for t in types):
+            return value, " is not of type " + ", ".join(map(repr, types))
+    if "const" in node and not _equal(value, node["const"]):
+        return f"{node['const']!r} was expected"
+    if "enum" in node and not any(_equal(value, v) for v in node["enum"]):
+        return value, f" is not one of {node['enum']!r}"
+    if isinstance(value, dict):
+        missing = [key for key in node.get("required", ()) if key not in value]
+        if missing:
+            return f"{missing[0]!r} is a required property"
+        extra = sorted(value.keys() - node.get("properties", {}).keys(), key=str)
+        if node.get("additionalProperties", True) is False and extra:
+            extras = ", ".join(map(repr, extra)) + (" was" if len(extra) == 1 else " were")
+            return f"Additional properties are not allowed ({extras} unexpected)"
+    if isinstance(value, (list, str)):
+        low = node.get("minItems" if isinstance(value, list) else "minLength", 0)
+        if len(value) < low:
+            return value, " should be non-empty" if low == 1 else " is too short"
+        if isinstance(value, list) and len(value) > node.get("maxItems", len(value)):
+            return value, " is expected to be empty" if node["maxItems"] == 0 else " is too long"
+    if "minimum" in node and _IS_TYPE["number"](value) and value < node["minimum"]:
+        return value, f" is less than the minimum of {node['minimum']!r}"
+    return None
+
+
+def _children(value: object, node: dict) -> Iterable[tuple[str | int, object, dict]]:
+    """(key, part, subschema) of each part of value that node's "properties",
+    "prefixItems" or "items" reach, by key; of a leaf array's items, which
+    are one bulk check, only those that fail it."""
+    if isinstance(value, dict):
+        properties = node.get("properties", {})
+        for key in sorted(properties.keys() & value.keys()):
+            yield key, value[key], properties[key]
+    elif isinstance(value, list):
+        prefix = node.get("prefixItems", ())
+        yield from zip(range(len(value)), value, prefix)
+        items, spec = value[len(prefix):] if prefix else value, _spec(node.get("items"))
+        if "items" in node and (spec is None or not _column_ok(items, spec)):
+            for i in range(0 if spec is None else _first_bad(items, spec), len(items)):
+                if spec is None or not _column_ok([items[i]], spec):
+                    yield len(prefix) + i, items[i], node["items"]
+
+
+def _first_error(value: object, node: dict) -> tuple[tuple, object] | None:
+    """(path, error) of the error a full Draft 2020-12 walk of value reports
+    first: the one at the smallest path, and at one path the first keyword."""
+    if (error := _own_error(value, node)) is not None:
+        return (), error
+    for key, part, sub in _children(value, node):
+        if (found := _first_error(part, sub)) is not None:
+            return (key, *found[0]), found[1]
+    return None
 
 
 def validate_document(doc: object, schema_name: str) -> None:
     """Schema-check a parsed document; FormatError names the bad path.
 
     A document is first checked in bulk against the spec of its schema's
-    root, a column check of every value at each schema node: the logits
-    of all sentences of a score, structure or sentences file are one
-    column, and each params matrix is its own.  A document that passes is
-    valid, and jsonschema is never loaded for it.  One that fails, and a
-    gold file, whose triples mix integers and strings, get one jsonschema
-    walk, in which the items of each leaf array (an array of scalars, of
-    leaf arrays, or of records whose properties all have specs) are again
-    checked in bulk by the "items" keyword.  Only a column that fails is
-    searched, by bisection, for its first bad item, and jsonschema walks
-    just that item, so the location and message are the ones a full walk
-    reports first.  Beyond the schema, every number must be finite and an
-    integer may not be written as 1.0; a document of the wrong type, or a
-    long array or object, is named by its JSON type, not printed."""
-    spec = _inlined(schema_name)[1]
+    root, a column check of all values at each schema node: the logits of
+    all sentences of a score, structure or sentences file are one column,
+    and each params matrix is its own.  A document that passes is valid.
+    Any other, and every gold file, whose triples mix integers and
+    strings, gets one walk of the schema, in which the items of each leaf
+    array (of scalars, of leaf arrays, or of records whose properties all
+    have specs) are one bulk check again.  Only a column that fails is
+    bisected for its first bad item and walked from there, so the location
+    and message are those a full walk reports first, in jsonschema 4.26's
+    words, but a document of the wrong type, or a long array or object,
+    is named by its JSON type, not printed."""
+    schema, spec = _inlined(schema_name)
     if spec is not None and _column_ok([doc], spec):
         return
-    errors = [(list(e.absolute_path), e) for e in _checker(schema_name).iter_errors(doc)]
-    if errors:
-        where, error = min(errors, key=lambda e: e[0])
-        message = _message(error, whole=not where)
-        where = "/".join(str(p) for p in where) or "<root>"
+    if (found := _first_error(doc, schema)) is not None:
+        where, message = found
+        if not isinstance(message, str):
+            value, rest = message
+            named = isinstance(value, (list, dict)) and (not where or len(repr(value)) > SHOWN_MAX)
+            kind = "an array" if isinstance(value, list) else "an object"
+            message = (kind if named else repr(value)) + rest
+        where = "/".join(map(str, where)) or "<root>"
         raise FormatError(f"invalid {schema_name} document at {where}: {message}")
 
 
@@ -735,8 +736,7 @@ def structures_from_doc(
 
 
 def load_structure_file(path: str) -> dict:
-    doc = load_document(path, "structure")
-    return doc
+    return load_document(path, "structure")
 
 
 # ---------------------------------------------------------------------------

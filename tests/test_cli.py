@@ -147,7 +147,7 @@ def test_score_file_of_an_unknown_version_exits_2(tmp_path, capsys):
 
 def test_score_file_whose_version_has_a_decimal_point_exits_2(tmp_path, capsys):
     """An integer has no decimal point: a version of 2.0 is refused, though
-    jsonschema's enum alone takes it for 2."""
+    JSON Schema's enum alone takes it for 2."""
     doc = json.loads(Path(GOLDEN_SCORE).read_text())
     doc["version"] = 2.0
     scores = tmp_path / "v2.0.json"
@@ -881,16 +881,58 @@ def test_fresh_commands_on_valid_files_never_import_jsonschema(tmp_path):
         assert _fresh_cli(*argv) == (["0", "False"], ""), argv
 
 
-def test_a_fresh_decode_of_a_non_finite_logit_still_exits_2(tmp_path):
-    """jsonschema is loaded to word a refusal, with the message it had."""
-    doc = json.loads(Path(GOLDEN_SCORE).read_text())
-    doc["sentences"][1]["entity_logits"][0][1] = math.inf
-    scores = tmp_path / "scores.json"
-    scores.write_text(json.dumps(doc))
-    status, err = _fresh_cli("decode", str(scores), "-o", str(tmp_path / "d.json"))
-    assert status == ["2", "True"]
-    assert err == ("error: invalid score document at sentences/1/entity_logits/0/1: "
-                   "inf is not a finite number\n")
+_WITHOUT_JSONSCHEMA = (
+    "import sys\n"
+    "sys.modules['jsonschema'] = None  # import jsonschema now raises ImportError\n"
+    "import spanrel.cli as cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def test_fresh_commands_accept_and_refuse_files_without_jsonschema(tmp_path):
+    """With jsonschema unimportable, score, decode and verify run on valid
+    files, and a refused file of each kind the CLI reads exits 2 with the
+    message a strict JSON Schema walk gives it."""
+    def run(*argv: str) -> tuple[int, str]:
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_JSONSCHEMA, *argv],
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stderr
+
+    scores, structures = str(tmp_path / "s.json"), str(tmp_path / "d.json")
+    assert run("score", SENTENCES, PARAMS, "-o", scores) == (0, "")
+    assert run("decode", scores, "-o", structures, "--algorithm", "entity-first",
+               "--constraints", "conll04") == (0, "")
+    assert run("verify", structures, scores) == (0, "")
+
+    def bad(name: str, source: str, path: str, value) -> str:
+        doc = json.loads(Path(source).read_text(encoding="utf-8"))
+        *head, last = [int(p) if p.isdigit() else p for p in path.split("/")]
+        parent = doc
+        for step in head:
+            parent = parent[step]
+        parent[last] = value
+        (tmp_path / name).write_text(json.dumps(doc))
+        return str(tmp_path / name)
+
+    conll04 = str(Path(cli.__file__).parent / "data" / "conll04_constraints.json")
+    out = str(tmp_path / "out.json")
+    refusals = [
+        (["score", bad("bad_t.json", SENTENCES, "sentences/2/tokens/1", 5), PARAMS, "-o", out],
+         "invalid sentences document at sentences/2/tokens/1: 5 is not of type 'string'"),
+        (["score", SENTENCES, bad("bad_p.json", PARAMS, "dim", 0), "-o", out],
+         "invalid params document at dim: 0 is less than the minimum of 1"),
+        (["decode", bad("bad_s.json", GOLDEN_SCORE, "sentences/1/entity_logits/0/1", math.inf),
+          "-o", out],
+         "invalid score document at sentences/1/entity_logits/0/1: inf is not a finite number"),
+        (["verify", bad("bad_d.json", structures, "sentences/0/entity_labels/0", 1.0), scores],
+         "invalid structure document at sentences/0/entity_labels/0: "
+         "1.0 is not of type 'integer'"),
+        (["decode", scores, "-o", out, "--constraints", bad("bad_c.json", conll04, "comment", "x")],
+         "invalid constraints document at <root>: "
+         "Additional properties are not allowed ('comment' was unexpected)"),
+    ]
+    for argv, message in refusals:
+        assert run(*argv) == (2, f"error: {message}\n"), argv
 
 
 def test_the_benchmark_tracer_sees_score_decode_and_verify(tmp_path, capsys):

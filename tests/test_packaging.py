@@ -26,6 +26,8 @@ def _imported_packages(path: Path) -> set[str]:
 
 
 def test_every_third_party_import_is_declared():
+    """The run-time dependencies are exactly what the package imports: an
+    undeclared import fails here, and so does a stale declaration."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower() for dep in project["dependencies"]}
@@ -33,6 +35,7 @@ def test_every_third_party_import_is_declared():
     third_party = imported - set(sys.stdlib_module_names) - {"spanrel"}
     assert "numpy" in third_party  # the walk finds imports at all
     assert third_party <= declared, sorted(third_party - declared)
+    assert declared <= third_party, sorted(declared - third_party)
 
 
 def test_public_name_lists_resolve():

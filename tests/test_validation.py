@@ -1,13 +1,13 @@
 """validate_document against full jsonschema on mutated documents.
 
 validate_document accepts a document that passes the bulk check of its
-schema's root without jsonschema; any other gets one jsonschema walk in
-which the items of the big leaf arrays are checked in bulk.  Each mutation
-below must be accepted or rejected exactly as Draft202012Validator over
-the whole document does, with the same location and message.  The two
-rules the formats add beyond the schemas (finite numbers, no 1.0 in
-integer slots) are the only expected differences, and they are checked
-separately.
+schema's root; any other gets one walk of its schema, in which the items
+of the big leaf arrays are checked in bulk.  Each mutation below must be
+accepted or rejected exactly as Draft202012Validator over the whole
+document does, with the same location and message.  The two rules the
+formats add beyond the schemas (finite numbers, no 1.0 in integer slots)
+are the only expected differences: they are checked separately, and a
+strict jsonschema walk that adds them is the oracle of the rest.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ import spanrel.cli as cli
 import spanrel.formats as formats
 from spanrel import ConstraintSet, FormatError, decode, load_gold, load_score_file
 from spanrel.formats import (
+    SCHEMA_NAMES,
     instances_from_score_doc,
     load_schema,
     structure_document,
     validate_document,
 )
+from spanrel.pipeline import SHOWN_MAX
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -331,15 +333,52 @@ def test_cli_decode_fails_closed_on_every_mutated_score(tmp_path):
             assert code == 2 or "NaN" not in out.read_text(), (case, algo)
 
 
+def strict_type(validator, types, instance, schema):
+    """The "type" keyword plus two rules of the formats: every number is
+    finite as a 64-bit float, and an integer has no decimal point."""
+    kind = type(instance)
+    types = [types] if isinstance(types, str) else types
+    if kind is float or (kind is int and "number" in types):
+        try:
+            finite = math.isfinite(instance)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
+            return
+    if kind is float and "integer" in types and "number" not in types:
+        yield jsonschema.ValidationError(f"{instance!r} is not of type 'integer'")
+        return
+    yield from jsonschema.Draft202012Validator.VALIDATORS["type"](validator, types, instance, schema)
+
+
+# Draft 2020-12 with the strict "type" keyword
+StrictValidator = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"type": strict_type})
+
+
+def formats_message(error, whole: bool) -> str:
+    """The jsonschema error's message, but an array or object that heads it
+    is named by its JSON type when it is the whole document or its repr is
+    long."""
+    value = error.instance
+    shown = repr(value) if isinstance(value, (list, dict)) else None
+    if shown is None or not error.message.startswith(shown):
+        return error.message
+    if len(shown) <= SHOWN_MAX and not whole:
+        return error.message
+    kind = "an array" if isinstance(value, list) else "an object"
+    return kind + error.message[len(shown):]
+
+
 def strict_outcome(doc, schema: str, worded: bool = False):
     """What a full strict walk of the whole document reports; worded, its
     message names a long value by type, as formats does."""
-    validator = formats._validators().strict(load_schema(schema))
+    validator = StrictValidator(load_schema(schema))
     errors = [(list(e.absolute_path), e) for e in validator.iter_errors(doc)]
     if not errors:
         return None
     where, error = min(errors, key=lambda e: e[0])
-    message = formats._message(error, whole=not where) if worded else error.message
+    message = formats_message(error, whole=not where) if worded else error.message
     return f"invalid {schema} document at {'/'.join(map(str, where)) or '<root>'}: {message}"
 
 
@@ -438,27 +477,25 @@ def test_seeded_mutations_of_params_gold_and_constraints_match_a_full_strict_wal
     assert 150 < rejected < 290  # both verdicts are exercised
 
 
-def _spy_on_type(monkeypatch) -> list:
-    """Every instance the "type" keyword of validate_document's validator
-    sees from now on."""
+def _spy_on_the_walk(monkeypatch) -> list:
+    """Every value the schema walk of validate_document checks from now on:
+    each node it visits passes through formats._own_error once."""
     seen = []
-    bulk = formats._validators().bulk
-    plain = bulk.VALIDATORS["type"]
+    own_error = formats._own_error
 
-    def spy(validator, types, instance, node):
-        seen.append(instance)
-        yield from plain(validator, types, instance, node)
+    def spy(value, node):
+        seen.append(value)
+        return own_error(value, node)
 
-    monkeypatch.setitem(bulk.VALIDATORS, "type", spy)
-    monkeypatch.setattr(formats, "_checkers", {})
+    monkeypatch.setattr(formats, "_own_error", spy)
     return seen
 
 
 @pytest.mark.parametrize("schema", ["score", "structure", "sentences"])
 def test_jsonschema_walks_no_sentence(monkeypatch, schema):
     """A valid document passes the bulk check of its root, so nothing of it
-    reaches jsonschema; sentence records are checked as columns."""
-    seen = _spy_on_type(monkeypatch)
+    reaches the JSON Schema walk; sentence records are checked as columns."""
+    seen = _spy_on_the_walk(monkeypatch)
     doc = DOCS[schema]
     validate_document(doc, schema)
     keys = set(doc["sentences"][0])
@@ -469,9 +506,9 @@ def test_jsonschema_walks_no_sentence(monkeypatch, schema):
     "schema, key", [("score", "length"), ("structure", "objective"), ("sentences", "tokens")]
 )
 def test_jsonschema_walks_only_the_bad_sentence(monkeypatch, schema, key):
-    """One bad sentence among 200: the walk that words the refusal reaches
-    that sentence's record and no other."""
-    seen = _spy_on_type(monkeypatch)
+    """One bad sentence among 200: the JSON Schema walk that words the
+    refusal reaches that sentence's record and no other."""
+    seen = _spy_on_the_walk(monkeypatch)
     doc = copy.deepcopy(DOCS[schema])
     doc["sentences"] = [copy.deepcopy(s) for s in (doc["sentences"] * 200)[:200]]
     bad = doc["sentences"][137]
@@ -485,8 +522,8 @@ def test_jsonschema_walks_only_the_bad_sentence(monkeypatch, schema, key):
 
 def test_jsonschema_walks_no_params_matrix(monkeypatch):
     """Each params matrix is checked as one column; a valid params file
-    reaches no jsonschema keyword, so no weight or row of weights does."""
-    seen = _spy_on_type(monkeypatch)
+    reaches no JSON Schema walk, so no weight or row of weights does."""
+    seen = _spy_on_the_walk(monkeypatch)
     validate_document(DOCS["params"], "params")
     rows, stack = set(), [DOCS["params"]]
     while stack:  # every list that is an item of a list: matrix and tensor rows
@@ -500,21 +537,15 @@ def test_jsonschema_walks_no_params_matrix(monkeypatch):
 
 def test_one_bad_token_among_many_builds_few_errors(tmp_path, monkeypatch, capsys):
     """Rejecting a long bad token list walks only its first bad token."""
-    built = []
-    init = jsonschema.ValidationError.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(jsonschema.ValidationError, "__init__", counting_init)
+    seen = _spy_on_the_walk(monkeypatch)
     sentences = tmp_path / "sentences.json"
     sentences.write_text(json.dumps({"sentences": [{"tokens": list(range(200_000))}]}))
     argv = ["score", str(sentences), str(FIXTURES / "params.json"), "-o", str(tmp_path / "out.json")]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err == "error: invalid sentences document at sentences/0/tokens/0: 0 is not of type 'string'\n"
-    assert len(built) <= 2
+    tokens = [x for x in seen if type(x) is int]
+    assert 1 <= len(tokens) <= 2
 
 
 def test_an_item_the_walk_accepts_does_not_end_the_search():
@@ -524,6 +555,48 @@ def test_an_item_the_walk_accepts_does_not_end_the_search():
     with pytest.raises(FormatError, match="at sentences/0/tokens/1: 5 is not of type 'string'"):
         validate_document({"sentences": [{"tokens": [np.str_("a"), 5]}]}, "sentences")
     validate_document({"sentences": [{"tokens": [np.str_("a"), "b"]}]}, "sentences")
+
+
+# The keywords formats._own_error and formats._children read, in the order
+# the walk checks them; keywords of different JSON types never fail together.
+WALK_ORDER = (
+    "type", "const", "enum", "required", "additionalProperties", "properties",
+    "prefixItems", "minItems", "minLength", "maxItems", "items", "minimum",
+)
+ANNOTATIONS = {"$schema", "$id", "$defs", "title", "description", "default"}
+
+
+def _subschemas(node: dict, where: str = "#"):
+    """(location, node) of node and of every subschema in it: the values of
+    "properties" and "$defs", each "prefixItems" entry, and "items"."""
+    yield where, node
+    for key in ("properties", "$defs"):
+        for name, sub in node.get(key, {}).items():
+            yield from _subschemas(sub, f"{where}/{key}/{name}")
+    for i, sub in enumerate(node.get("prefixItems", ())):
+        yield from _subschemas(sub, f"{where}/prefixItems/{i}")
+    if "items" in node:
+        yield from _subschemas(node["items"], f"{where}/items")
+
+
+@pytest.mark.parametrize("name", SCHEMA_NAMES)
+def test_the_bundled_schemas_use_only_what_the_walk_reads(name):
+    """The walk that words refusals reads 12 keywords in one fixed order,
+    and jsonschema reports a node's errors in the order the node lists its
+    keywords.  So every node of a bundled schema holds only those keywords,
+    annotations and a local "$ref", and lists its keywords in the walk's
+    order; a schema edit the walk cannot honour fails here."""
+    schema = load_schema(name)
+    for where, node in _subschemas(schema):
+        keys = [key for key in node if key not in ANNOTATIONS]
+        if "$ref" in keys:
+            assert keys == ["$ref"] and node["$ref"].startswith("#/"), where
+            target = schema
+            for part in node["$ref"][2:].split("/"):
+                target = target[part]  # a KeyError names a dangling "$ref"
+            continue
+        assert set(keys) <= set(WALK_ORDER), (where, sorted(set(keys) - set(WALK_ORDER)))
+        assert keys == sorted(keys, key=WALK_ORDER.index), (where, keys)
 
 
 def test_a_document_of_the_wrong_type_is_named_not_printed(tmp_path, capsys):
