@@ -98,9 +98,10 @@ def top_k_select(
         cut = -np.partition(-seg, m - 1, axis=1)[:, m - 1 : m]
         keep = seg >= cut
         if np.count_nonzero(keep) > m * len(seg):  # more ties at the cut than places
-            for row, values, c in zip(keep, seg, cut[:, 0]):
-                ties = np.flatnonzero(values == c)  # the highest-index ties give way
-                row[ties[len(ties) + m - np.count_nonzero(row) :]] = False
+            over = np.add.reduce(keep, axis=1) - m
+            for row in np.flatnonzero(over).tolist():  # only the rows that tie
+                ties = np.flatnonzero(seg[row] == cut[row, 0])  # the highest-index ties give way
+                keep[row, ties[len(ties) - over[row] :]] = False
     kept = np.nonzero(keep)[1].reshape(*scores.shape[:-1], m)
     rows = z.rows(kept) if isinstance(z, CandidateGrid) else np.asarray(z, dtype=np.float64)[kept]
     return FilterResult(tuple(kept.ravel().tolist()), rows, scores)

@@ -194,12 +194,20 @@ def _inline(root: dict, node: object) -> object:
 
 
 @cache
-def _inlined(schema_name: str) -> tuple[dict, _Spec | None]:
-    """The schema with every local "$ref" inlined, and the spec of its root:
-    None for gold, whose triples mix integers and strings."""
+def _inlined(schema_name: str) -> tuple[dict, _Spec | None, dict[int, _Spec | None]]:
+    """The schema with every local "$ref" inlined, the spec of its root (None
+    for gold, whose triples mix integers and strings), and the spec of each
+    of its nodes' "items" by the node's id, which the cache keeps alive."""
     schema = load_schema(schema_name)
     inlined = _inline(schema, schema)
-    return inlined, _spec(inlined)
+    specs, stack = {}, [inlined]
+    while stack:  # every dict and list of the schema
+        node = stack.pop()
+        if isinstance(node, dict) and "items" in node:
+            specs[id(node)] = _spec(node["items"])
+        parts = node.values() if isinstance(node, dict) else node
+        stack += [x for x in parts if isinstance(x, (dict, list))]
+    return inlined, _spec(inlined), specs
 
 
 def _scalars_ok(items: list, spec: _Scalar) -> bool:
@@ -326,10 +334,10 @@ def _own_error(value: object, node: dict) -> str | tuple[object, str] | None:
     return None
 
 
-def _children(value: object, node: dict) -> Iterable[tuple[str | int, object, dict]]:
+def _children(value: object, node: dict, specs: dict) -> Iterable[tuple[str | int, object, dict]]:
     """(key, part, subschema) of each part of value that node's "properties",
     "prefixItems" or "items" reach, by key; of a leaf array's items, which
-    are one bulk check, only those that fail it."""
+    are one bulk check against their spec in specs, only those that fail it."""
     if isinstance(value, dict):
         properties = node.get("properties", {})
         for key in sorted(properties.keys() & value.keys()):
@@ -337,20 +345,21 @@ def _children(value: object, node: dict) -> Iterable[tuple[str | int, object, di
     elif isinstance(value, list):
         prefix = node.get("prefixItems", ())
         yield from zip(range(len(value)), value, prefix)
-        items, spec = value[len(prefix):] if prefix else value, _spec(node.get("items"))
+        items, spec = value[len(prefix):] if prefix else value, specs.get(id(node))
         if "items" in node and (spec is None or not _column_ok(items, spec)):
             for i in range(0 if spec is None else _first_bad(items, spec), len(items)):
                 if spec is None or not _column_ok([items[i]], spec):
                     yield len(prefix) + i, items[i], node["items"]
 
 
-def _first_error(value: object, node: dict) -> tuple[tuple, object] | None:
+def _first_error(value: object, node: dict, specs: dict) -> tuple[tuple, object] | None:
     """(path, error) of the error a full Draft 2020-12 walk of value reports
-    first: the one at the smallest path, and at one path the first keyword."""
+    first: the one at the smallest path, and at one path the first keyword;
+    specs are the item specs of node's schema, as _inlined gives them."""
     if (error := _own_error(value, node)) is not None:
         return (), error
-    for key, part, sub in _children(value, node):
-        if (found := _first_error(part, sub)) is not None:
+    for key, part, sub in _children(value, node, specs):
+        if (found := _first_error(part, sub, specs)) is not None:
             return (key, *found[0]), found[1]
     return None
 
@@ -370,10 +379,10 @@ def validate_document(doc: object, schema_name: str) -> None:
     and message are those a full walk reports first, in jsonschema 4.26's
     words, but a document of the wrong type, or a long array or object,
     is named by its JSON type, not printed."""
-    schema, spec = _inlined(schema_name)
+    schema, spec, specs = _inlined(schema_name)
     if spec is not None and _column_ok([doc], spec):
         return
-    if (found := _first_error(doc, schema)) is not None:
+    if (found := _first_error(doc, schema, specs)) is not None:
         where, message = found
         if not isinstance(message, str):
             value, rest = message

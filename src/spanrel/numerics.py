@@ -204,10 +204,13 @@ def feed_forward(x: np.ndarray, params: FeedForwardParams) -> np.ndarray:
     return relu(x @ params.w1 + params.b1) @ params.w2 + params.b2
 
 
-def scalar_head(hidden: np.ndarray, params: FeedForwardParams) -> np.ndarray:
+def scalar_head(
+    hidden: np.ndarray, params: FeedForwardParams, out: np.ndarray | None = None
+) -> np.ndarray:
     """hidden @ w2 for a one-column second layer, over hidden's last axis,
     summed row by row in one order wherever the row sits (see the module
-    docstring); the bias b2 is the caller's to add."""
+    docstring); the bias b2 is the caller's to add.  out, if given, is an
+    array shaped like hidden without its last axis that receives the scores."""
     if params.out_dim != 1:
         raise ValueError("the scalar head needs a one-column second layer")
-    return np.einsum("...h,h->...", hidden, params.w2[:, 0])
+    return np.einsum("...h,h->...", hidden, params.w2[:, 0], out=out)

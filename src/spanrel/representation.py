@@ -15,11 +15,11 @@ index a * W + w, is head[a] + tail[a * step + w]:
   the grid but are invalid.
 
 The grid ranks every cell through the factored first layer of the ranking
-feed-forward, a block of grid rows at a time through one fixed buffer, so
-the forward pass builds neither the L*M span matrix nor the K*K pair grid;
-D-wide rows are built only for the cells kept.  enumerate_spans,
-span_representations and relation_representations are dense views of the
-same grids.
+feed-forward, a block of grid rows at a time through one fixed buffer (a
+stack's whole grids, while they fit in it), so the forward pass builds
+neither the L*M span matrix nor the K*K pair grid; D-wide rows are built
+only for the cells kept.  enumerate_spans, span_representations and
+relation_representations are dense views of the same grids.
 
 A CandidateGrid holds a stack of grids of one shape on a leading axis, one
 per sentence of equal length (a sentence is a stack of one), or the one
@@ -38,8 +38,8 @@ from .numerics import FeedForwardParams, feed_forward, make_rng, scalar_head
 
 # Token vectors cached per (token, dim, seed); about 5 MB at dim 64.
 TOKEN_CACHE_SIZE = 8192
-# Cells of a candidate grid ranked per step: the ranking buffer holds
-# max(16, RANK_BLOCK // W) rows of one grid, W cells x hidden floats each.
+# Cells ranked per step: the ranking buffer holds max(16, RANK_BLOCK // W) grid
+# rows of W cells x hidden floats, of one grid or of whole grids of a stack.
 RANK_BLOCK = 2048
 
 NULL_ENTITY = "non-entity"
@@ -203,20 +203,25 @@ class CandidateGrid:
         shaped like valid, through the factored first layer
         a = head @ W1 + b1, b = tail @ W1.  Scores w2 . relu(a + b) are
         summed as w2 . max(a, -b) + w2 . b, one pass over a (rows, W, hidden)
-        buffer per block of one grid's rows, instead of an A*W x hidden one."""
+        buffer per block of rows, instead of an A*W x hidden one: a block is
+        part of one grid's rows, or as many whole grids as fit.  It is filled
+        with a's rows, then maxed in place against contiguous windows of -b,
+        a still the first operand (it decides ties of -0.0 and 0.0, and NaNs)."""
         a, b = self.head @ ffn.w1 + ffn.b1, self.tail @ ffn.w1
         a, b = a.reshape(-1, *a.shape[-2:]), b.reshape(-1, *b.shape[-2:])  # (S, ., hidden)
         neg_b = self._windows(-b)
         (stack, n, hidden), width = a.shape, self.width
         rows = max(16, RANK_BLOCK // max(1, width))
-        buf = np.empty((min(rows, n), width, hidden))
+        grids = min(stack, max(1, rows // max(1, n)))  # whole grids per block
+        buf = np.empty((grids, min(rows, n), width, hidden))
         scores = np.empty((stack, n, width))
-        for s in range(stack):
+        for s in range(0, stack, grids):
             for lo in range(0, n, rows):
-                block = buf[: min(rows, n - lo)]
-                hi = lo + len(block)
-                np.maximum(a[s, lo:hi, None], neg_b[s, lo:hi], out=block)
-                scores[s, lo:hi] = scalar_head(block, ffn)
+                block = buf[: stack - s, : n - lo]
+                t, hi = s + len(block), lo + block.shape[1]
+                np.copyto(block, a[s:t, lo:hi, None])
+                np.maximum(block, neg_b[s:t, lo:hi], out=block)
+                scalar_head(block, ffn, out=scores[s:t, lo:hi])
         scores += self._windows(scalar_head(b, ffn) + ffn.b2[0])
         return scores.reshape(self.valid.shape)
 

@@ -83,6 +83,29 @@ def test_top_k_matches_oracle_random():
         result = top_k_select(z, scores, k)
         assert result.kept_indices == oracle_top_k(scores.tolist(), k)
         assert np.array_equal(result.representations, z[list(result.kept_indices)])
+    # stacks in which some rows tie at their cut and others do not; every
+    # row has the same number of live cells, so none is ragged
+    tied = 0
+    for _ in range(300):
+        s, n = int(rng.integers(2, 8)), int(rng.integers(2, 30))
+        scores = rng.normal(size=(s, n))
+        coarse = rng.random(s) < 0.5
+        scores[coarse] = np.round(scores[coarse] * 2) / 2
+        dead = int(rng.integers(0, n))
+        for row in scores:
+            row[rng.choice(n, size=dead, replace=False)] = NEG_SENTINEL
+        k = int(rng.integers(1, n + 2))
+        z = rng.normal(size=(s, n, 3))
+        grid = CandidateGrid(z, np.zeros((s, 1, 3)), 1, 0, scores > NEG_SENTINEL)
+        result = top_k_select(grid, scores, k)
+        m = min(k, n - dead)
+        kept = np.reshape(result.kept_indices, (s, m))
+        for row, got, rows, want in zip(scores, kept, result.representations, z):
+            assert tuple(got.tolist()) == oracle_top_k(row.tolist(), k)
+            assert np.array_equal(rows, want[got])
+        cut = np.sort(scores, axis=1)[:, n - m : n - m + 1]
+        tied += 0 < np.count_nonzero((scores >= cut).sum(axis=1) > m) < s
+    assert tied > 30  # stacks with tied and untied rows at once
 
 
 def test_top_k_clamps_and_orders():

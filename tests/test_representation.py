@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,8 @@ from spanrel import (
     valid_span_count,
 )
 from spanrel import representation
-from spanrel.numerics import NEG_SENTINEL, FeedForwardParams
-from spanrel.representation import pair_grid, span_grid
+from spanrel.numerics import NEG_SENTINEL, FeedForwardParams, scalar_head
+from spanrel.representation import CandidateGrid, pair_grid, span_grid
 
 
 def test_inventory_nulls_first():
@@ -149,6 +151,105 @@ def test_grid_rank_matches_dense(kind, n, width, shift, monkeypatch):
     first[inverse] = scores[cells]
     assert np.array_equal(scores[cells], first[inverse])
     assert n <= 3 or len(groups) < len(cells)
+
+
+def reference_rank(grid: CandidateGrid, ffn: FeedForwardParams) -> np.ndarray:
+    """CandidateGrid.rank's expression before it ranked in blocks that are
+    copied, then maxed in place: a broadcast max of a against the windows of
+    -b, then scalar_head, one whole grid at a time."""
+    a, b = grid.head @ ffn.w1 + ffn.b1, grid.tail @ ffn.w1
+    a, b = a.reshape(-1, *a.shape[-2:]), b.reshape(-1, *b.shape[-2:])
+    neg_b = grid._windows(-b)
+    scores = np.array(
+        [scalar_head(np.maximum(a_s[:, None], nb_s), ffn) for a_s, nb_s in zip(a, neg_b)]
+    )
+    scores += grid._windows(scalar_head(b, ffn) + ffn.b2[0])
+    return scores.reshape(grid.valid.shape)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    """x's float64 bit patterns, so that -0.0 differs from 0.0 and NaNs compare."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+# Grid rows per rank block, as a function of the grid's rows n and the
+# stack's size s; RANK_BLOCK is set to that many rows' cells.
+BLOCKS = {
+    "default": None,  # RANK_BLOCK as shipped: whole small grids per block
+    "inside-a-grid": lambda n, s: n - 3,  # each grid split, 3 rows in a second block
+    "at-a-boundary": lambda n, s: 2 * n,  # two whole grids per block
+    "one-grid-short": lambda n, s: max(1, s - 1) * n,  # all grids but the last
+}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("stack", range(1, 8))
+@pytest.mark.parametrize("kind", ["span", "pair"])
+def test_rank_matches_the_reference_kernel(kind, stack, block, monkeypatch):
+    """rank copies a into each block, takes the max with contiguous windows
+    of -b in place and scores the block into its place, a stack's whole
+    grids per block where they fit; every bit equals the reference's.  The
+    factors repeat rows and hold 0.0, -0.0 and NaN, and output weights of
+    1e308 and -1e308 make some scores inf and some NaN."""
+    n, dim, hidden = 19, 4, 6
+    width, step = (3, 1) if kind == "span" else (n, 0)
+    rng = make_rng(100 * stack + len(block))
+    pool = rng.normal(size=(6, dim))
+    pool[0] *= 0.01
+    pool[1, :2] = 0.0, -0.0
+    pool[2] = -0.0
+    pool[3:, :2] = (10.0, -10.0), (-10.0, -10.0), (np.nan, np.nan)
+    head = pool[rng.integers(0, 6, size=(stack, n))]
+    tail = pool[rng.integers(0, 6, size=(stack, (n - 1) * step + width))]
+    head[:, :3], tail[:, :3] = pool[[3, 0, 5]], pool[[4, 0, 5]]
+    # hidden units 4 and 5 read coordinates 0 and 1 alone, with output weights
+    # of 1e308 and -1e308: cell (0, 0) scores NaN, (0, 1) inf, (1, 0) finite.
+    # The NaN rows of pool[5] make a and -b NaNs of opposite signs, so the
+    # max's operand order shows in cell (2, 2 - 2 * step).
+    ffn = _ranking_ffn(rng, dim, hidden)
+    ffn.w1[:, 4:], ffn.b1[4:] = np.eye(dim)[:, :2], 0.0
+    ffn.w2[1], ffn.w2[4:, 0] = -0.0, (1e308, -1e308)
+    if BLOCKS[block] is not None:
+        monkeypatch.setattr(representation, "RANK_BLOCK", BLOCKS[block](n, stack) * width)
+    lead = (stack,) if stack > 1 else ()
+    grid = CandidateGrid(
+        head.reshape(*lead, n, dim),
+        tail.reshape(*lead, -1, dim),
+        width,
+        step,
+        np.ones((*lead, n * width), dtype=bool),
+    )
+    with np.errstate(all="ignore"):
+        got, want = grid.rank(ffn), reference_rank(grid, ffn)
+    assert got.shape == want.shape == grid.valid.shape
+    assert np.isinf(got).any() and np.isnan(got).any() and np.isfinite(got).any()
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("kind, stack, n", [("span", 8, 64), ("pair", 1, 200)])
+def test_rank_buffer_stays_within_its_bound(kind, stack, n):
+    """Whole grids join a block only while they fit in it, so ranking holds
+    at most max(16, RANK_BLOCK // W) * W * hidden floats of buffer, besides
+    the scores and the first-layer factors a, b and -b."""
+    dim = hidden = 64
+    rng = make_rng(7)
+    ffn = _ranking_ffn(rng, dim, hidden)
+    x = rng.normal(size=(stack, n, dim)) if stack > 1 else rng.normal(size=(n, dim))
+    w = rng.normal(size=(2 * dim, dim))
+    grid = span_grid(x, 12, w) if kind == "span" else pair_grid(x, w)
+    grid.rank(ffn)
+    tracemalloc.start()
+    try:
+        grid.rank(ffn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    width = grid.width
+    tail_rows = grid.tail.shape[-2]
+    buffer = max(16, representation.RANK_BLOCK // width) * width * hidden
+    factors = stack * (n + 2 * tail_rows) * hidden
+    bound = 8 * (buffer + stack * n * width + factors) + 128_000  # + einsum's 64 KB buffer
+    assert peak <= bound, f"rank peak {peak / 1e6:.2f} MB > {bound / 1e6:.2f} MB"
 
 
 def test_relation_representations():

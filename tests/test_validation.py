@@ -548,6 +548,22 @@ def test_one_bad_token_among_many_builds_few_errors(tmp_path, monkeypatch, capsy
     assert 1 <= len(tokens) <= 2
 
 
+def test_gold_validation_compiles_each_spec_once(monkeypatch):
+    """Gold's root has no bulk spec, so a valid gold file is walked; the spec
+    of each array's items is compiled once per schema, not once per array
+    visited, which made 7 calls of formats._spec per sentence."""
+    validate_document(GOLD, "gold")  # the inlined schema is built and cached
+    calls = []
+    spec = formats._spec
+    monkeypatch.setattr(formats, "_spec", lambda node: calls.append(node) or spec(node))
+    counts = []
+    for size in (1, 50):
+        calls.clear()
+        validate_document({"sentences": GOLD["sentences"][:1] * size}, "gold")
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
 def test_an_item_the_walk_accepts_does_not_end_the_search():
     """A numpy.str_ token fails the bulk check, whose types are exact, but
     jsonschema's walk of it finds nothing; the search goes on after it, to
